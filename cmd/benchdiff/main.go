@@ -26,9 +26,9 @@
 //
 // -ns-key points both sides at a specific "*_ns" extra column; -ns-key-new
 // overrides the column for the new side only, so one snapshot passed twice
-// compares two of its own columns (how CI gates the summaries speedup):
+// compares two of its own columns (how CI gates the churn and pool speedups):
 //
-//	benchdiff -ns-key ir_ns -ns-key-new sum_ns -min-speedup 1.2 best.json best.json
+//	benchdiff -ns-key full_ns -ns-key-new delta_ns -min-speedup 5 churn.json churn.json
 //
 // A key that no row on its side carries is a pointed error listing the
 // timing columns the snapshot does have — never a zero-row pass that would
@@ -80,8 +80,8 @@ var nsKey string
 // nsKeyNew, when set via -ns-key-new, selects the timing column for the NEW
 // (second) snapshot's rows, defaulting to -ns-key. Pointing the sides at
 // different columns turns the gate into a within-row comparison of one
-// snapshot passed twice — the summaries CI gate runs
-// `-ns-key ir_ns -ns-key-new sum_ns -min-speedup 1.2 best.json best.json`.
+// snapshot passed twice — the churn CI gate runs
+// `-ns-key full_ns -ns-key-new delta_ns -min-speedup 5 churn.json churn.json`.
 var nsKeyNew string
 
 // ns extracts an old-side row's timing: the -ns-key extra column when set,
@@ -168,7 +168,7 @@ func main() {
 	threshold := flag.Float64("threshold", 0, "fail (exit 1) when any matched row regresses by more than this percent (0 disables)")
 	minSpeedup := flag.Float64("min-speedup", 0, "fail (exit 1) when any matched timed row's old/new speedup is below this factor (0 disables; the multicore CI gate uses it to assert parallel/dist wins)")
 	flag.StringVar(&nsKey, "ns-key", "", "read timings from this extra column (e.g. par_ns, dist_ns) instead of the default ns_per_op chain")
-	flag.StringVar(&nsKeyNew, "ns-key-new", "", "read the NEW snapshot's timings from this extra column (defaults to -ns-key); with both set, one snapshot passed twice compares two of its own columns (the summaries gate: -ns-key ir_ns -ns-key-new sum_ns)")
+	flag.StringVar(&nsKeyNew, "ns-key-new", "", "read the NEW snapshot's timings from this extra column (defaults to -ns-key); with both set, one snapshot passed twice compares two of its own columns (the churn gate: -ns-key full_ns -ns-key-new delta_ns)")
 	validate := flag.Bool("validate", false, "validate the given snapshot files instead of diffing (each must be a non-empty symbench JSON array)")
 	mergeMin := flag.Bool("merge-min", false, "merge the given snapshots row-wise to a best-of-N snapshot on stdout (min of every timing column)")
 	flag.Parse()

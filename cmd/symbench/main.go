@@ -16,7 +16,6 @@
 //	symbench -run allpairs    # batch all-pairs reachability, sequential vs -workers
 //	symbench -run allpairs-dist  # all-pairs across -procs worker subprocesses
 //	symbench -run forkheavy   # fork-heavy state replication (engine microbench)
-//	symbench -run summaries   # per-element summaries vs IR re-execution (all-pairs on/off)
 //	symbench -run churn       # incremental re-verification per rule delta vs full recompute
 //	symbench -run all
 //
@@ -137,7 +136,7 @@ func (r *reporter) flush() error {
 var validExperiments = []string{
 	"table1", "fig8", "table2", "table3", "table4", "table5",
 	"splittcp", "dept", "satcache", "allpairs", "allpairs-dist", "forkheavy", "itables",
-	"summaries", "churn", "pool", "pool-scale", "all",
+	"churn", "pool", "pool-scale", "all",
 }
 
 // parseRuns parses the comma-separated -run list, erroring on unknown
@@ -167,13 +166,12 @@ func parseRuns(spec string) (map[string]bool, error) {
 func main() {
 	dist.MaybeWorker() // spawned as a distributed worker: never returns
 
-	run := flag.String("run", "all", "comma-separated experiments to run (table1|fig8|table2|table3|table4|table5|splittcp|dept|satcache|allpairs|allpairs-dist|forkheavy|itables|summaries|churn|pool|pool-scale|all; pool and pool-scale fork worker processes and only run when named explicitly)")
+	run := flag.String("run", "all", "comma-separated experiments to run (table1|fig8|table2|table3|table4|table5|splittcp|dept|satcache|allpairs|allpairs-dist|forkheavy|itables|churn|pool|pool-scale|all; pool and pool-scale fork worker processes and only run when named explicitly)")
 	quick := flag.Bool("quick", false, "smaller workloads for a fast pass")
 	heavy := flag.Bool("heavy", false, "larger workloads for allpairs/allpairs-dist (amortizes distributed setup; used by the multicore CI gate)")
 	workers := flag.Int("workers", 0, "worker pool size for parallel experiments (0 = all cores)")
 	procs := flag.Int("procs", 0, "worker subprocesses for allpairs-dist (0 = in-process)")
 	distWorkers := flag.String("dist-workers", "", "comma-separated host:port list of resident TCP workers (symworker -listen) for allpairs-dist and pool-scale; overrides -procs")
-	useSummaries := flag.Bool("summaries", false, "run the allpairs/allpairs-dist batches with per-element summaries (core.Options.Summaries); results are byte-identical either way, which CI pins via -stable diffs")
 	jsonOut := flag.Bool("json", false, "emit machine-readable JSON instead of paper-shaped tables")
 	stable := flag.Bool("stable", false, "strip timing from JSON output (byte-identical across runs with equal results)")
 	metrics := flag.Bool("metrics", false, "attach a metrics registry and emit its schema-versioned snapshot (JSON: {schema,rows,metrics} envelope; suppressed by -stable)")
@@ -246,19 +244,16 @@ func main() {
 		satcache(rep, *quick, *heavy, o)
 	}
 	if want("allpairs") {
-		allpairs(rep, *quick, *heavy, *workers, *useSummaries, o)
+		allpairs(rep, *quick, *heavy, *workers, o)
 	}
 	if want("allpairs-dist") {
-		allpairsDist(rep, *quick, *heavy, *procs, *workers, splitAddrs(*distWorkers), *useSummaries, o)
+		allpairsDist(rep, *quick, *heavy, *procs, *workers, splitAddrs(*distWorkers), o)
 	}
 	if want("forkheavy") {
 		forkheavy(rep, *quick)
 	}
 	if want("itables") {
 		itables(rep, *quick, o)
-	}
-	if want("summaries") {
-		summaries(rep, *quick, *heavy, o)
 	}
 	if want("churn") {
 		churnBench(rep, *quick, *heavy, *workers, o)
@@ -565,7 +560,7 @@ func allpairsBackboneSize(quick, heavy bool) (zones, perZone int) {
 	return 14, 300
 }
 
-func allpairs(rep *reporter, quick, heavy bool, workers int, summaries bool, o *obs.Obs) {
+func allpairs(rep *reporter, quick, heavy bool, workers int, o *obs.Obs) {
 	rep.printf("== All-pairs reachability: sequential vs parallel batch ==\n")
 	rep.printf("%-22s %-8s %-8s %-12s %-12s %s\n", "Dataset", "Sources", "Pairs", "Seq", fmt.Sprintf("Par(%d)", workers), "Speedup")
 
@@ -579,13 +574,13 @@ func allpairs(rep *reporter, quick, heavy bool, workers int, summaries bool, o *
 	d := datasets.NewDepartment(deptCfg)
 	deptSrcs, deptTargets := d.AllPairs()
 	allpairsRow(rep, "department", d.Net, deptSrcs, sefl.NewTCPPacket(), deptTargets,
-		core.Options{MaxHops: 64, Summaries: summaries}, workers, o)
+		core.Options{MaxHops: 64}, workers, o)
 
 	zones, perZone := allpairsBackboneSize(quick, heavy)
 	bb := datasets.StanfordBackbone(zones, perZone)
 	bbSrcs, bbTargets := bb.AllPairs()
 	allpairsRow(rep, "stanford backbone", bb.Net, bbSrcs, sefl.NewIPPacket(), bbTargets,
-		core.Options{Summaries: summaries}, workers, o)
+		core.Options{}, workers, o)
 	rep.printf("\n")
 }
 
@@ -612,7 +607,7 @@ func splitAddrs(spec string) []string {
 // identical rows — with -stable, identical bytes — regardless of the fleet
 // shape. procs = 0 with no fleet answers in-process through the same code
 // path.
-func allpairsDist(rep *reporter, quick, heavy bool, procs, workersPerProc int, distAddrs []string, summaries bool, o *obs.Obs) {
+func allpairsDist(rep *reporter, quick, heavy bool, procs, workersPerProc int, distAddrs []string, o *obs.Obs) {
 	if len(distAddrs) > 0 {
 		rep.printf("== All-pairs reachability, distributed (tcp fleet=%d, workers/proc=%d) ==\n", len(distAddrs), workersPerProc)
 	} else {
@@ -630,7 +625,7 @@ func allpairsDist(rep *reporter, quick, heavy bool, procs, workersPerProc int, d
 	d := datasets.NewDepartment(deptCfg)
 	deptSrcs, deptTargets := d.AllPairs()
 	allpairsDistRow(rep, "department", d.Net, deptSrcs, sefl.NewTCPPacket(), deptTargets,
-		core.Options{MaxHops: 64, Summaries: summaries}, procs, workersPerProc, distAddrs, o)
+		core.Options{MaxHops: 64}, procs, workersPerProc, distAddrs, o)
 
 	if !heavy {
 		// The backbone row is omitted in heavy mode (the multicore
@@ -645,7 +640,7 @@ func allpairsDist(rep *reporter, quick, heavy bool, procs, workersPerProc int, d
 		bb := datasets.StanfordBackbone(zones, perZone)
 		bbSrcs, bbTargets := bb.AllPairs()
 		allpairsDistRow(rep, "stanford backbone", bb.Net, bbSrcs, sefl.NewIPPacket(), bbTargets,
-			core.Options{Summaries: summaries}, procs, workersPerProc, distAddrs, o)
+			core.Options{}, procs, workersPerProc, distAddrs, o)
 	}
 	rep.printf("\n")
 }
@@ -973,128 +968,6 @@ func itablesRow(rep *reporter, name string, net *core.Network, srcs []core.PortR
 			"ortree_ns":    orTree.Nanoseconds(),
 			"packed_bytes": packedBytes,
 			"tree_bytes":   treeBytes,
-		},
-	})
-}
-
-// summaries measures compositional per-element summaries against direct IR
-// re-execution on the all-pairs batches: the same workload runs with
-// Options.Summaries off (every element visit re-executes compiled IR) and on
-// (each visit applies the element's pre-executed decision DAG), interleaved
-// best-of-N with the reachability matrices cross-checked between passes.
-// Census columns report how much of each network summarizes and how large
-// the row sets get; they are deterministic and survive -stable. In -heavy
-// mode only the heavy department runs — the workload the multicore CI gate
-// holds to a >=1.2x summary speedup via benchdiff -ns-key ir_ns
-// -ns-key-new sum_ns.
-func summaries(rep *reporter, quick, heavy bool, o *obs.Obs) {
-	rep.printf("== Per-element summaries: compose transfer functions vs re-execute IR ==\n")
-	rep.printf("%-22s %-12s %-12s %-9s %-8s %-9s %-10s %s\n",
-		"Dataset", "IR", "Summaries", "Speedup", "Summar.", "Fallback", "Rows", "MaxRows")
-
-	deptCfg := datasets.DefaultDepartment()
-	if quick {
-		deptCfg = datasets.DepartmentConfig{NumAccessSwitches: 4, HostsPerSwitch: 40, Routes: 60, Seed: 5}
-	}
-	if heavy {
-		deptCfg = datasets.HeavyDepartment()
-	}
-	d := datasets.NewDepartment(deptCfg)
-	deptSrcs, deptTargets := d.AllPairs()
-	summariesRow(rep, "department", d.Net, deptSrcs, sefl.NewTCPPacket(), deptTargets,
-		core.Options{MaxHops: 64}, quick, o)
-
-	if !heavy {
-		// Heavy mode scopes to the department batch alone (mirroring
-		// allpairs-dist): deep per-element re-execution through switches, ASA
-		// and routers is exactly what summaries amortize, so it is the
-		// workload the CI speedup gate measures.
-		zones, perZone := allpairsBackboneSize(quick, heavy)
-		bb := datasets.StanfordBackbone(zones, perZone)
-		bbSrcs, bbTargets := bb.AllPairs()
-		summariesRow(rep, "stanford backbone", bb.Net, bbSrcs, sefl.NewIPPacket(), bbTargets,
-			core.Options{}, quick, o)
-	}
-	rep.printf("\n")
-}
-
-func summariesRow(rep *reporter, name string, net *core.Network, srcs []core.PortRef, packet sefl.Instr, targets []string, opts core.Options, quick bool, obsv *obs.Obs) {
-	reps := 3
-	if quick {
-		reps = 2
-	}
-	// Passes interleave off/on (ABAB) so machine drift hits both sides
-	// equally; each pass gets fresh stats and memo cache so the speedup
-	// column measures summaries, not cache warmth. The summary cache itself
-	// intentionally persists across passes — it is built once per element,
-	// which is the point of the design.
-	var irBest, sumBest time.Duration
-	var irRep, sumRep *verify.AllPairsReport
-	for i := 0; i < reps; i++ {
-		for _, withSum := range []bool{false, true} {
-			o := opts
-			o.Summaries = withSum
-			o.Obs = obsv
-			o.Stats, o.SatMemo = &solver.Stats{}, solver.NewSatCache()
-			if obsv != nil {
-				o.SatMemo.RegisterMetrics(obsv.Reg)
-			}
-			t0 := time.Now()
-			r, err := verify.AllPairsReachability(net, srcs, packet, targets, o, 1)
-			if err != nil {
-				fail(err)
-			}
-			d := time.Since(t0)
-			if withSum {
-				sumRep = r
-				if sumBest == 0 || d < sumBest {
-					sumBest = d
-				}
-			} else {
-				irRep = r
-				if irBest == 0 || d < irBest {
-					irBest = d
-				}
-			}
-		}
-	}
-	for s := range srcs {
-		for t := range targets {
-			if irRep.Reachable[s][t] != sumRep.Reachable[s][t] {
-				fail(fmt.Errorf("summaries %s: summary answer differs from IR at [%d][%d]", name, s, t))
-			}
-		}
-	}
-
-	summarized, fallbacks := 0, 0
-	var rowsTotal, rowsMax int64
-	rowsMaxElem := ""
-	for _, c := range core.SummaryCensus(net) {
-		if !c.Summarized {
-			fallbacks++
-			continue
-		}
-		summarized++
-		rowsTotal += c.Rows
-		if c.Rows > rowsMax {
-			rowsMax, rowsMaxElem = c.Rows, c.Elem
-		}
-	}
-
-	rep.printf("%-22s %-12v %-12v %-9s %-8d %-9d %-10d %d (%s)\n",
-		name, irBest.Round(time.Millisecond), sumBest.Round(time.Millisecond),
-		fmt.Sprintf("%.2fx", float64(irBest)/float64(sumBest)),
-		summarized, fallbacks, rowsTotal, rowsMax, rowsMaxElem)
-	rep.add(jsonRow{
-		Experiment: "summaries",
-		Name:       name,
-		NsPerOp:    sumBest.Nanoseconds(),
-		Extra: map[string]any{
-			"sources": len(srcs), "pairs": irRep.Pairs(),
-			"ir_ns": irBest.Nanoseconds(), "sum_ns": sumBest.Nanoseconds(),
-			"speedup":          float64(irBest) / float64(sumBest),
-			"elems_summarized": summarized, "elems_fallback": fallbacks,
-			"rows_total": rowsTotal, "rows_max": rowsMax, "rows_max_elem": rowsMaxElem,
 		},
 	})
 }

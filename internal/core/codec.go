@@ -204,154 +204,6 @@ func EncodeProgramsFor(n *Network, refs []PortRef) ([]WireProgramEntry, error) {
 	return out, nil
 }
 
-// DropSummaries removes any cached summarization verdicts for the named
-// element ports, forcing lazy re-summarization. A worker applying a program
-// delta calls it for the delta'd ports: the resident summaries pre-executed
-// the replaced IR and must not survive it. Unknown elements and ports
-// without a verdict are ignored.
-func DropSummaries(n *Network, refs []PortRef) {
-	for _, ref := range refs {
-		if e, ok := n.Element(ref.Elem); ok {
-			e.sums.Delete(progKey{out: ref.Out, port: ref.Port})
-		}
-	}
-}
-
-// WireSummaryEntry is one summarization verdict keyed like the element's
-// summary cache: a summary (Sum non-nil), or the unsummarizable reason. Both
-// verdicts cross the wire — a worker that had to re-discover fallbacks would
-// re-run the summarizer per element, which is exactly the work the frame
-// exists to skip.
-type WireSummaryEntry struct {
-	Elem   string
-	Port   int
-	Out    bool
-	Sum    *prog.WireSummary
-	Reason string
-}
-
-// EncodeSummaries summarizes (as needed) and serializes the summarization
-// verdict of every element-port program, in the same deterministic order as
-// EncodePrograms. Summarization work is shared with subsequent local runs
-// via the per-element summary cache.
-func EncodeSummaries(n *Network) ([]WireSummaryEntry, error) {
-	elems := n.Elements()
-	sort.Slice(elems, func(i, j int) bool { return elems[i].Instance < elems[j].Instance })
-	var out []WireSummaryEntry
-	for _, e := range elems {
-		for _, dir := range []bool{false, true} {
-			codes := e.InCode
-			if dir {
-				codes = e.OutCode
-			}
-			ports := make([]int, 0, len(codes))
-			for p := range codes {
-				ports = append(ports, p)
-			}
-			sort.Ints(ports)
-			for _, port := range ports {
-				p, ok := e.progFor(port, dir)
-				if !ok {
-					continue
-				}
-				se, _ := e.summaryForHit(p, port, dir)
-				we := WireSummaryEntry{Elem: e.Name, Port: port, Out: dir, Reason: se.reason}
-				if se.sum != nil {
-					ws, err := prog.EncodeSummary(se.sum)
-					if err != nil {
-						return nil, err
-					}
-					we.Sum = ws
-				}
-				out = append(out, we)
-			}
-		}
-	}
-	return out, nil
-}
-
-// SummaryCensusRow is one element-port program's summarization verdict with
-// its row-set size, for reporting (symbench's summaries experiment prints
-// rows-per-element statistics from it).
-type SummaryCensusRow struct {
-	Elem       string
-	Port       int
-	Out        bool
-	Summarized bool
-	// Reason is the unsummarizable verdict when Summarized is false.
-	Reason string
-	// Rows/Nodes/Steps size the summary DAG (zero when unsummarizable).
-	Rows  int64
-	Nodes int
-	Steps int
-}
-
-// SummaryCensus summarizes (as needed) every element-port program and
-// reports each verdict with its row-set size, in the same deterministic
-// order as EncodeSummaries. Work is shared with runs via the per-element
-// summary cache.
-func SummaryCensus(n *Network) []SummaryCensusRow {
-	elems := n.Elements()
-	sort.Slice(elems, func(i, j int) bool { return elems[i].Instance < elems[j].Instance })
-	var out []SummaryCensusRow
-	for _, e := range elems {
-		for _, dir := range []bool{false, true} {
-			codes := e.InCode
-			if dir {
-				codes = e.OutCode
-			}
-			ports := make([]int, 0, len(codes))
-			for p := range codes {
-				ports = append(ports, p)
-			}
-			sort.Ints(ports)
-			for _, port := range ports {
-				p, ok := e.progFor(port, dir)
-				if !ok {
-					continue
-				}
-				se, _ := e.summaryForHit(p, port, dir)
-				row := SummaryCensusRow{Elem: e.Name, Port: port, Out: dir, Reason: se.reason}
-				if se.sum != nil {
-					row.Summarized = true
-					row.Rows, row.Nodes, row.Steps = se.sum.Rows, se.sum.Nodes, se.sum.Steps
-				}
-				out = append(out, row)
-			}
-		}
-	}
-	return out
-}
-
-// InstallSummaries decodes serialized summarization verdicts into the
-// network's summary caches, keyed exactly as lazy summarization would key
-// them. Each summary is rebound to the worker's installed program for its
-// port (summaries reference IR, never copy it), so InstallPrograms must run
-// first for shipped programs to be the rebind targets. Ports without an
-// installed verdict still summarize lazily.
-func InstallSummaries(n *Network, entries []WireSummaryEntry) error {
-	for _, we := range entries {
-		e, ok := n.Element(we.Elem)
-		if !ok {
-			return fmt.Errorf("core: install summary for unknown element %q", we.Elem)
-		}
-		p, ok := e.progFor(we.Port, we.Out)
-		if !ok {
-			return fmt.Errorf("core: install summary for %s port %d: no code attached", we.Elem, we.Port)
-		}
-		se := &sumEntry{reason: we.Reason}
-		if we.Sum != nil {
-			s, err := prog.DecodeSummary(p, we.Sum)
-			if err != nil {
-				return err
-			}
-			se.sum = s
-		}
-		e.sums.Store(progKey{out: we.Out, port: we.Port}, se)
-	}
-	return nil
-}
-
 // InstallPrograms decodes serialized programs into the network's compiled
 // caches, keyed exactly as lazy compilation would key them. Ports without an
 // installed program still compile lazily, so a partial set degrades to local

@@ -66,25 +66,6 @@ func (r *run) execPort(st *State, elem *Element, port int, out bool) ([]*State, 
 	} else {
 		r.progMisses.Inc()
 	}
-	if r.opts.Summaries {
-		se, built := elem.summaryForHit(p, port, out)
-		if built {
-			if se.sum != nil {
-				r.sumBuilt.Inc()
-			} else {
-				r.sumUnsum.Inc()
-			}
-		}
-		if se.sum != nil {
-			r.sumHits.Inc()
-			r.elemHits.inc(elem.Name)
-			t := r.sumApplyNs.Start()
-			states := r.applySummary(st, se.sum)
-			t.Stop()
-			return states, true
-		}
-		r.sumFallbacks.Inc()
-	}
 	t := r.progExecNs.Start()
 	states := r.runProgram(st, p)
 	t.Stop()
@@ -126,11 +107,7 @@ func (r *run) runSeg(p *prog.Program, id prog.SegID, states []*State, env *progE
 	return states
 }
 
-// applyLinear executes one non-forking op, mutating the state in place. The
-// three op kinds whose per-visit costs the summary layer hoists (Constrain's
-// failure render, Forward/Fork's port-slice allocation) are handled inline;
-// everything else shares applyLinearRest with the summary executor
-// (summary_exec.go), so linear-op semantics live in exactly one place.
+// applyLinear executes one non-forking op, mutating the state in place.
 func (r *run) applyLinear(p *prog.Program, op *prog.Op, s *State, env *progEnv) {
 	if s.traceOn {
 		s.pushTrace(fmt.Sprintf("%s: %s", p.Elem, op.Ins))
@@ -144,9 +121,7 @@ func (r *run) applyLinear(p *prog.Program, op *prog.Op, s *State, env *progEnv) 
 			return
 		}
 		if !s.Ctx.Add(cond) || (s.Ctx.PendingOrs() > 0 && !s.Ctx.Sat()) {
-			// The failure message renders the original SEFL condition, like
-			// the AST interpreter — lazily, since guards can be enormous.
-			s.fail(fmt.Sprintf("constraint unsatisfiable: %s", op.Ins.(sefl.Constrain).C))
+			s.fail(op.ConstrainFailMsg())
 		}
 
 	case prog.OpForward:
@@ -159,15 +134,6 @@ func (r *run) applyLinear(p *prog.Program, op *prog.Op, s *State, env *progEnv) 
 		}
 		s.outPorts = append([]int(nil), op.Ports...)
 
-	default:
-		r.applyLinearRest(op, s, env)
-	}
-}
-
-// applyLinearRest executes the linear op kinds whose semantics the IR and
-// summary executors share verbatim.
-func (r *run) applyLinearRest(op *prog.Op, s *State, env *progEnv) {
-	switch op.Kind {
 	case prog.OpNoOp:
 
 	case prog.OpAllocate:

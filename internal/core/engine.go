@@ -44,10 +44,10 @@ type Options struct {
 	SatMemo *solver.SatCache
 	// Workers requests parallel exploration when > 1; 0 and 1 mean
 	// sequential, so the zero Options value never spawns goroutines.
-	// (symnet.RunParallel is the parallel-by-default entry point: there,
-	// <= 0 selects all cores.) The core engine itself always explores on
-	// the calling goroutine; internal/sched and the symnet facade honor
-	// this field. Results are identical for any worker count.
+	// (In a symnet.Session, <= 0 selects all cores.) The core engine
+	// itself always explores on the calling goroutine; internal/sched and
+	// the symnet facade honor this field. Results are identical for any
+	// worker count.
 	Workers int
 	// ASTInterp selects the tree-walking AST interpreter instead of the
 	// compiled-IR dispatch loop. The two engines produce byte-identical
@@ -63,14 +63,6 @@ type Options struct {
 	// constraint-fingerprint chain differs, since the solver is handed a
 	// packed membership condition instead of a disjunction.
 	OrTreeGuards bool
-	// Summaries applies pre-built per-(element,port) transfer-function
-	// summaries (prog.Summarize) instead of dispatching the compiled IR on
-	// every visit; elements whose code is unsummarizable (data-dependent For
-	// loops, fresh symbols minted after branch points) fall back to the IR
-	// path per visit. Results, statistics, traces and symbol allocation are
-	// byte-identical either way (pinned by the summaries differential tests
-	// in internal/prog); the IR path remains the reference semantics.
-	Summaries bool
 	// Obs attaches observability sinks (metrics registry, span tracer; see
 	// internal/obs). Telemetry is strictly observational: results, traces
 	// and statistics are byte-identical with or without it (pinned by the
@@ -107,16 +99,7 @@ type run struct {
 	progHits   *obs.Counter
 	progMisses *obs.Counter
 	satNs      *obs.Histogram
-	// Summary-layer instruments (see execPort): build outcomes, per-visit
-	// path taken, and the apply-vs-exec timing pair the summaries experiment
-	// compares. elemHits is shared across tasks (counters are atomic).
-	sumBuilt     *obs.Counter
-	sumUnsum     *obs.Counter
-	sumHits      *obs.Counter
-	sumFallbacks *obs.Counter
-	sumApplyNs   *obs.Histogram
-	progExecNs   *obs.Histogram
-	elemHits     *elemHits
+	progExecNs *obs.Histogram
 }
 
 // Run injects a packet built by init at the given input port and explores

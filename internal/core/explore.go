@@ -93,17 +93,7 @@ type Exploration struct {
 	progMisses *obs.Counter   // core.progcache.misses: port programs compiled
 	queueDepth *obs.Gauge     // core.queue.depth.max: pending-task high-water
 	satNs      *obs.Histogram // solver.sat.check_ns: per-Sat-check wall time
-	// Summary-layer instruments (nil without a registry; the summary.*
-	// family only moves when Options.Summaries is set, while prog.exec_ns
-	// times every IR-path visit — a summaries-off pass populates it for the
-	// apply-vs-exec comparison; see execPort).
-	sumBuilt     *obs.Counter   // summary.built: programs summarized
-	sumUnsum     *obs.Counter   // summary.unsummarizable: fallback verdicts
-	sumHits      *obs.Counter   // summary.hits: visits applied via summary
-	sumFallbacks *obs.Counter   // summary.fallbacks: visits on the IR path
-	sumApplyNs   *obs.Histogram // summary.apply_ns: per-visit summary apply
-	progExecNs   *obs.Histogram // prog.exec_ns: per-visit IR execution
-	elemHits     *elemHits      // summary.elem_hits.<elem>: per-element applies
+	progExecNs *obs.Histogram // prog.exec_ns: per-visit compiled-IR execution
 }
 
 // NewExploration validates the injection point and prepares the first wave
@@ -134,13 +124,7 @@ func NewExploration(net *Network, inject PortRef, init sefl.Instr, opts Options)
 		e.progMisses = reg.Counter("core.progcache.misses")
 		e.queueDepth = reg.Gauge("core.queue.depth.max")
 		e.satNs = reg.Histogram("solver.sat.check_ns")
-		e.sumBuilt = reg.Counter("summary.built")
-		e.sumUnsum = reg.Counter("summary.unsummarizable")
-		e.sumHits = reg.Counter("summary.hits")
-		e.sumFallbacks = reg.Counter("summary.fallbacks")
-		e.sumApplyNs = reg.Histogram("summary.apply_ns")
 		e.progExecNs = reg.Histogram("prog.exec_ns")
-		e.elemHits = &elemHits{reg: reg}
 	}
 	if !opts.ASTInterp && init != nil {
 		// Injection code runs once per exploration but compiles in
@@ -188,14 +172,7 @@ func (e *Exploration) RunTask(t *Task) TaskResult {
 		progHits:   e.progHits,
 		progMisses: e.progMisses,
 		satNs:      e.satNs,
-
-		sumBuilt:     e.sumBuilt,
-		sumUnsum:     e.sumUnsum,
-		sumHits:      e.sumHits,
-		sumFallbacks: e.sumFallbacks,
-		sumApplyNs:   e.sumApplyNs,
-		progExecNs:   e.progExecNs,
-		elemHits:     e.elemHits,
+		progExecNs: e.progExecNs,
 	}
 	var res TaskResult
 	if t.init != nil {

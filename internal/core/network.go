@@ -40,24 +40,12 @@ type Element struct {
 	// the resolved code-map key (a specific port or WildcardPort), so all
 	// ports sharing wildcard code share one compiled program.
 	progs sync.Map // progKey -> *prog.Program
-	// sums caches summarization results (a summary, or the unsummarizable
-	// verdict) under the same keys, invalidated together with progs.
-	sums sync.Map // progKey -> *sumEntry
 }
 
 // progKey identifies one cached compiled program of an element.
 type progKey struct {
 	out  bool
 	port int
-}
-
-// sumEntry is one cached summarization verdict: either a summary, or the
-// reason the program is unsummarizable (sum nil). Caching the negative
-// verdict matters as much as the positive one — fallback elements are
-// visited just as often and must not re-attempt summarization per visit.
-type sumEntry struct {
-	sum    *prog.Summary
-	reason string
 }
 
 // SetInCode attaches code to an input port (WildcardPort for all).
@@ -67,7 +55,6 @@ func (e *Element) SetInCode(port int, code sefl.Instr) *Element {
 	}
 	e.InCode[port] = code
 	e.progs.Delete(progKey{out: false, port: port})
-	e.sums.Delete(progKey{out: false, port: port})
 	return e
 }
 
@@ -78,23 +65,20 @@ func (e *Element) SetOutCode(port int, code sefl.Instr) *Element {
 	}
 	e.OutCode[port] = code
 	e.progs.Delete(progKey{out: true, port: port})
-	e.sums.Delete(progKey{out: true, port: port})
 	return e
 }
 
 // PatchedOutCode records that an output port's code was updated by an
 // in-place patch of its already-compiled program (prog.PatchGuard): the
 // source AST is replaced so a later cache invalidation recompiles the new
-// rules, and the summary entry is dropped (summaries pre-execute the guard,
-// so they must rebuild from the patched program) — but the compiled-program
-// cache entry is kept, because the cached program object is the one that was
-// just patched. Callers must not be executing the element concurrently.
+// rules — but the compiled-program cache entry is kept, because the cached
+// program object is the one that was just patched. Callers must not be
+// executing the element concurrently.
 func (e *Element) PatchedOutCode(port int, code sefl.Instr) {
 	if e.OutCode == nil {
 		e.OutCode = make(map[int]sefl.Instr)
 	}
 	e.OutCode[port] = code
-	e.sums.Delete(progKey{out: true, port: port})
 }
 
 // CachedProgram returns the compiled program cached for a port, without
@@ -172,31 +156,6 @@ func (e *Element) progForHit(port int, out bool) (*prog.Program, bool, bool) {
 	p := prog.Compile(codes[key], e.Name, e.Instance, fmt.Sprintf("%s.%s[%s]", e.Name, dir, portLabel))
 	actual, _ := e.progs.LoadOrStore(ck, p)
 	return actual.(*prog.Program), true, false
-}
-
-// summaryForHit returns the cached summarization verdict for a port's
-// program, summarizing on first use, plus whether this call built it (for
-// the engine's summary.built/.unsummarizable counters). Key resolution
-// mirrors progForHit, so ports sharing wildcard code share one verdict.
-// Like program compilation, concurrent first uses may summarize twice;
-// LoadOrStore keeps one winner and summarization is a pure function of the
-// program, so results do not depend on the race.
-func (e *Element) summaryForHit(p *prog.Program, port int, out bool) (*sumEntry, bool) {
-	codes := e.InCode
-	if out {
-		codes = e.OutCode
-	}
-	key := port
-	if _, ok := codes[key]; !ok {
-		key = WildcardPort
-	}
-	ck := progKey{out: out, port: key}
-	if v, ok := e.sums.Load(ck); ok {
-		return v.(*sumEntry), false
-	}
-	sum, reason := prog.Summarize(p)
-	actual, loaded := e.sums.LoadOrStore(ck, &sumEntry{sum: sum, reason: reason})
-	return actual.(*sumEntry), !loaded
 }
 
 // Programs returns the compiled program of every port that has code,

@@ -70,10 +70,10 @@ type JobResult struct {
 	Err     error
 }
 
-// Summarize reduces a Result to its wire summary. Distributed and
+// SummaryOf reduces a Result to its wire summary. Distributed and
 // in-process runs of the same job summarize identically; the property tests
 // compare canonical encodings of these summaries.
-func Summarize(res *core.Result) *Summary {
+func SummaryOf(res *core.Result) *Summary {
 	s := &Summary{Stats: res.Stats, Paths: make([]PathSummary, len(res.Paths))}
 	for i, p := range res.Paths {
 		s.Paths[i] = PathSummary{
@@ -199,7 +199,7 @@ func runLocal(net *core.Network, jobs []Job, workers int, o *obs.Obs, out []JobR
 func fromSched(jr sched.JobResult) JobResult {
 	r := JobResult{Name: jr.Name, Err: jr.Err}
 	if jr.Result != nil {
-		r.Summary = Summarize(jr.Result)
+		r.Summary = SummaryOf(jr.Result)
 	}
 	return r
 }
@@ -210,8 +210,8 @@ func shardBounds(jobs, k, n int) (lo, hi int) {
 }
 
 // buildSetup serializes the network and its compiled programs once per full
-// setup, plus the summarization verdicts when some job will consume them.
-func buildSetup(net *core.Network, needSummaries bool) (*setupFrame, error) {
+// setup.
+func buildSetup(net *core.Network) (*setupFrame, error) {
 	wnet, err := core.EncodeNetwork(net)
 	if err != nil {
 		return nil, fmt.Errorf("dist: %w", err)
@@ -220,13 +220,7 @@ func buildSetup(net *core.Network, needSummaries bool) (*setupFrame, error) {
 	if err != nil {
 		return nil, fmt.Errorf("dist: %w", err)
 	}
-	s := &setupFrame{Net: wnet, Programs: progs}
-	if needSummaries {
-		if s.Summaries, err = core.EncodeSummaries(net); err != nil {
-			return nil, fmt.Errorf("dist: %w", err)
-		}
-	}
-	return s, nil
+	return &setupFrame{Net: wnet, Programs: progs}, nil
 }
 
 // buildShard converts one contiguous job range to wire jobs.

@@ -30,12 +30,6 @@ func init() {
 			panic("dist test: poisoned model at " + k.Name)
 		}
 	})
-	// The summaries tests gate injection behind a runtime-no-op For loop
-	// (unsummarizable by construction, so every batch exercises the IR
-	// fallback); the body must be registered to cross the wire.
-	sefl.RegisterForBody("dist.test.sumgate", func(string) func(sefl.Meta) sefl.Instr {
-		return func(sefl.Meta) sefl.Instr { return sefl.NoOp{} }
-	})
 }
 
 // canonical renders distributed results to comparable bytes. Errors compare
@@ -69,7 +63,7 @@ func reference(t *testing.T, net *core.Network, jobs []dist.Job) []byte {
 	for i, jr := range sched.RunBatch(net, jobs, 1) {
 		out[i] = dist.JobResult{Name: jr.Name, Err: jr.Err}
 		if jr.Result != nil {
-			out[i].Summary = dist.Summarize(jr.Result)
+			out[i].Summary = dist.SummaryOf(jr.Result)
 		}
 	}
 	return canonical(t, out)
@@ -368,84 +362,6 @@ func TestDistMetricsAbsorbedAndInert(t *testing.T) {
 		if snap.Gauges[key] == 0 {
 			t.Errorf("%s not recorded; gauges: %v", key, snap.Gauges)
 		}
-	}
-}
-
-// TestSummariesDistByteIdentical is the distributed face of the summary
-// acceptance property: per-element summaries on or off, at procs 0 and 2,
-// every dataset batch produces the same bytes as the summaries-off
-// in-process reference — full canonical encoding, constraint fingerprints
-// included, since summaries replay the exact IR solver call sequence. It
-// also pins the summary wire crossing, since workers execute the shipped
-// encode→decode summaries.
-func TestSummariesDistByteIdentical(t *testing.T) {
-	if testing.Short() {
-		t.Skip("spawns worker subprocesses")
-	}
-	for _, tc := range batchCases(t) {
-		t.Run(tc.name, func(t *testing.T) {
-			want := reference(t, tc.net, tc.jobs)
-			for _, summaries := range []bool{false, true} {
-				jobs := make([]dist.Job, len(tc.jobs))
-				for i, j := range tc.jobs {
-					jobs[i] = j
-					jobs[i].Opts.Summaries = summaries
-				}
-				for _, procs := range []int{0, 2} {
-					got := canonical(t, dist.RunBatch(tc.net, jobs, procs, 2))
-					if string(got) != string(want) {
-						t.Errorf("summaries=%v procs=%d: results differ from summaries-off in-process reference",
-							summaries, procs)
-					}
-				}
-			}
-		})
-	}
-}
-
-// TestSummariesDistWorkersInstallNotRebuild pins the division of labor
-// across the wire: the coordinator summarizes once and ships verdicts in the
-// setup frame, workers install them — so the absorbed worker telemetry shows
-// summary applications (hits) and IR fallbacks (the For-gated element), but
-// zero worker-side builds.
-func TestSummariesDistWorkersInstallNotRebuild(t *testing.T) {
-	if testing.Short() {
-		t.Skip("spawns worker subprocesses")
-	}
-	net, inject := datasets.SatHeavy(8)
-	g := net.AddElement("sumgate", "gate", 1, 1)
-	g.SetInCode(0, sefl.Seq(
-		sefl.NewFor("^__none__", "dist.test.sumgate", ""),
-		sefl.Forward{Port: 0},
-	))
-	net.MustLink("sumgate", 0, inject.Elem, inject.Port)
-	gated := core.PortRef{Elem: "sumgate", Port: 0}
-
-	jobs := make([]dist.Job, 4)
-	for i := range jobs {
-		jobs[i] = dist.Job{
-			Name: fmt.Sprintf("q%d", i), Inject: gated, Packet: sefl.NewTCPPacket(),
-			Opts: core.Options{Summaries: true},
-		}
-	}
-	want := reference(t, net, jobs)
-
-	reg := obs.NewRegistry()
-	out := dist.RunBatchConfig(net, jobs, dist.Config{
-		Procs: 2, WorkersPerProc: 2, ShareSat: true, Obs: obs.New(reg, nil),
-	})
-	if got := canonical(t, out); string(got) != string(want) {
-		t.Errorf("summaries dist results differ from in-process reference:\n got: %.400s\nwant: %.400s", got, want)
-	}
-	snap := reg.Snapshot()
-	if snap.Counters["summary.hits"] == 0 {
-		t.Errorf("no summary applications absorbed from workers; counters: %v", snap.Counters)
-	}
-	if snap.Counters["summary.fallbacks"] == 0 {
-		t.Errorf("no IR fallbacks absorbed despite the For-gated element; counters: %v", snap.Counters)
-	}
-	if built := snap.Counters["summary.built"] + snap.Counters["summary.unsummarizable"]; built != 0 {
-		t.Errorf("workers re-summarized %d programs; installation from the setup frame should cover all", built)
 	}
 }
 

@@ -137,15 +137,12 @@ type batchFrame struct {
 }
 
 // deltaFrame re-ships only what changed since the generation the worker
-// holds: the re-compiled programs of the touched ports (the worker drops its
-// cached summaries for exactly those ports and re-summarizes lazily), plus
-// the full summary set when this batch needs summaries the worker was never
-// shipped. Port ASTs do not ride deltas — workers execute installed compiled
-// programs, so delta batches are correct for every mode except ASTInterp,
-// which resident pools do not serve.
+// holds: the re-compiled programs of the touched ports. Port ASTs do not
+// ride deltas — workers execute installed compiled programs, so delta
+// batches are correct for every mode except ASTInterp, which resident pools
+// do not serve.
 type deltaFrame struct {
-	Programs  []core.WireProgramEntry
-	Summaries []core.WireSummaryEntry
+	Programs []core.WireProgramEntry
 }
 
 // cancelFrame revokes (or acknowledges revocation of) queued jobs by their
@@ -185,10 +182,6 @@ func decodeSetup(raw []byte) (*setupFrame, error) {
 type setupFrame struct {
 	Net      *core.WireNetwork
 	Programs []core.WireProgramEntry
-	// Summaries carries the coordinator's summarization verdicts (present
-	// only when some job runs with Options.Summaries), so workers skip
-	// re-summarization the same way Programs lets them skip recompilation.
-	Summaries []core.WireSummaryEntry
 }
 
 // jobsFrame ships jobs: a batch's initial contiguous chunk, or a top-up.
@@ -217,20 +210,19 @@ type wireOptions struct {
 	Trace        bool
 	ASTInterp    bool
 	OrTreeGuards bool
-	Summaries    bool
 }
 
 func toWireOptions(o core.Options) wireOptions {
 	return wireOptions{
 		MaxHops: o.MaxHops, MaxPaths: o.MaxPaths, Loop: o.Loop, Trace: o.Trace,
-		ASTInterp: o.ASTInterp, OrTreeGuards: o.OrTreeGuards, Summaries: o.Summaries,
+		ASTInterp: o.ASTInterp, OrTreeGuards: o.OrTreeGuards,
 	}
 }
 
 func (w wireOptions) options() core.Options {
 	return core.Options{
 		MaxHops: w.MaxHops, MaxPaths: w.MaxPaths, Loop: w.Loop, Trace: w.Trace,
-		ASTInterp: w.ASTInterp, OrTreeGuards: w.OrTreeGuards, Summaries: w.Summaries,
+		ASTInterp: w.ASTInterp, OrTreeGuards: w.OrTreeGuards,
 	}
 }
 

@@ -158,7 +158,7 @@ func TestWorkerSessionHandshakeErrors(t *testing.T) {
 // mismatch on reuse, a corrupt setup blob, and a stream truncated mid-batch.
 func TestWorkerBatchProtocolErrors(t *testing.T) {
 	net, _ := testFleetNet()
-	setup, err := buildSetup(net, false)
+	setup, err := buildSetup(net)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -228,7 +228,7 @@ func TestWorkerBatchProtocolErrors(t *testing.T) {
 // summaries byte-identical to the in-process engine's.
 func TestWorkerSessionServesBatches(t *testing.T) {
 	net, jobs := testFleetNet()
-	setup, err := buildSetup(net, false)
+	setup, err := buildSetup(net)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -262,7 +262,7 @@ func TestWorkerSessionServesBatches(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		want[i] = Summarize(res)
+		want[i] = SummaryOf(res)
 	}
 
 	c := newConn(&out, &out)

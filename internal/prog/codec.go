@@ -294,6 +294,9 @@ func DecodeProgram(w *WireProgram) (*Program, error) {
 			Msg: wop.Msg, Tag: wop.Tag, Port: wop.Port, Ports: wop.Ports,
 			Then: wop.Then, Else: wop.Else, Sub: wop.Sub,
 		}
+		if op.Kind == OpConstrain {
+			op.failMsg = newFailMemo()
+		}
 		if wop.Ins != nil {
 			ins, err := sefl.DecodeInstr(wop.Ins)
 			if err != nil {

@@ -113,7 +113,7 @@ func (c *compiler) emit(buf *[]Op, ins sefl.Instr, forked, terminated *bool) {
 		*buf = append(*buf, Op{Kind: OpDestroyTag, Ins: ins, Tag: v.Name})
 
 	case sefl.Constrain:
-		*buf = append(*buf, Op{Kind: OpConstrain, Ins: ins, C: c.compileCond(v.C)})
+		*buf = append(*buf, Op{Kind: OpConstrain, Ins: ins, C: c.compileCond(v.C), failMsg: newFailMemo()})
 
 	case sefl.Fail:
 		*buf = append(*buf, Op{Kind: OpFail, Ins: ins, Msg: v.Msg})

@@ -37,7 +37,8 @@ type PatchSpec struct {
 	// Ins is the rebuilt source instruction (e.g. models.SwitchEgressGuard).
 	// Trace lines and constraint-failure messages render the op's original
 	// instruction lazily, so every OpConstrain whose guard is patched must
-	// have its Ins replaced or resident traces would show the stale rules.
+	// have its Ins replaced — and its failure-message memo reset — or
+	// resident reports would show the stale rules.
 	Ins sefl.Instr
 }
 
@@ -99,7 +100,8 @@ func BuildGuardTable(rows []ITRow, w int) *expr.SpanTable {
 // hash-consing construction the compiler and wire decoder use, recomputes
 // the node fingerprint and derived state (static fold, size, memo gating,
 // input set), clears the evaluation memo, and swaps the rendered source
-// instruction on every OpConstrain guarded by the node.
+// instruction (with a fresh failure-message memo) on every OpConstrain
+// guarded by the node.
 func PatchGuard(p *Program, spec PatchSpec) int {
 	patched := make(map[*CCond]bool)
 	forEachCond(p, func(cc *CCond) {
@@ -127,6 +129,7 @@ func PatchGuard(p *Program, spec PatchSpec) int {
 			op := &p.Ops[i]
 			if op.Kind == OpConstrain && patched[op.C] {
 				op.Ins = spec.Ins
+				op.failMsg = newFailMemo()
 			}
 		}
 	}

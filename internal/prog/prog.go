@@ -26,18 +26,20 @@
 //   - For-loop patterns are compiled to regexps once, and large symbol-free
 //     guards carry a single-slot evaluation memo keyed by their distinct
 //     packet reads (trace lines and failure messages stay lazy, rendered
-//     only when the AST interpreter would render them).
+//     only when the AST interpreter would render them; a constraint's
+//     failure message is rendered at most once per op).
 //
 // The compiled program must be observationally identical to the AST
 // interpreter it replaces — same results, same statistics, same trace lines,
 // same fresh-symbol allocation order — which is what the differential
 // property tests in this package pin down. Programs are immutable after
 // compilation and shared read-only across scheduler workers and batch jobs;
-// the only mutable member is the per-For-op body-program cache, which is a
-// concurrency-safe memo.
+// the only mutable members are concurrency-safe memos (For-body programs,
+// guard evaluations, constraint failure messages).
 package prog
 
 import (
+	"fmt"
 	"regexp"
 	"sync"
 	"sync/atomic"
@@ -313,6 +315,9 @@ type Seg struct {
 // would — precomputing them would pin huge strings for models whose guards
 // span hundreds of thousands of table entries. Ins is nil for OpSub, which
 // is not traced (the AST interpreter does not trace blocks either).
+//
+// An OpConstrain's failure message is rendered at most once per op (see
+// ConstrainFailMsg). The memo is held by pointer so Op stays copyable.
 type Op struct {
 	Kind  OpKind
 	Ins   sefl.Instr
@@ -328,6 +333,26 @@ type Op struct {
 	Else  SegID  // OpIf
 	Sub   SegID  // OpSub
 	For   *ForOp // OpFor
+
+	failMsg *atomic.Pointer[string] // OpConstrain (set by compile and decode)
+}
+
+// newFailMemo returns an empty failure-message memo for an OpConstrain.
+func newFailMemo() *atomic.Pointer[string] { return new(atomic.Pointer[string]) }
+
+// ConstrainFailMsg returns an OpConstrain's failure message: the original
+// SEFL condition, rendered exactly as the AST interpreter renders it. The
+// first failing visit renders it and every later one shares that string —
+// egress-style guards print the whole forwarding table, so rendering per
+// failing visit would dominate the cost of such elements. The render is a
+// pure function of Ins, so racing first stores are benign.
+func (op *Op) ConstrainFailMsg() string {
+	if p := op.failMsg.Load(); p != nil {
+		return *p
+	}
+	msg := fmt.Sprintf("constraint unsatisfiable: %s", op.Ins.(sefl.Constrain).C)
+	op.failMsg.Store(&msg)
+	return msg
 }
 
 // Program is one compiled element-port program: a flat op array cut into

@@ -127,9 +127,9 @@ func (s *Session) Run(inject PortRef, init sefl.Instr) (*Result, error) {
 }
 
 // RunBatch runs independent queries against the network, fanning jobs
-// across the session's worker pool (Workers <= 0 selects all cores, as in
-// the package-level RunBatch). Jobs with a nil Opts.SatMemo share the
-// session memo; results are identical with or without sharing.
+// across the session's worker pool (Workers <= 0 selects all cores). Jobs
+// with a nil Opts.SatMemo share the session memo; results are identical
+// with or without sharing.
 func (s *Session) RunBatch(jobs []BatchJob) []BatchResult {
 	shared := make([]BatchJob, len(jobs))
 	for i, j := range jobs {

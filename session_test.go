@@ -8,6 +8,8 @@ import (
 	"testing"
 	"time"
 
+	"symnet/internal/core"
+	"symnet/internal/sched"
 	"symnet/internal/sefl"
 )
 
@@ -109,9 +111,11 @@ func compareAllPairs(t *testing.T, label string, got, want *AllPairsReport) {
 	}
 }
 
-// TestSessionShimIdentity pins the deprecated shims against the session
-// API: for every worker setting, Session.Run and Session.RunBatch must be
-// byte-identical to the package-level Run/RunParallel/RunBatch.
+// TestSessionShimIdentity pins the session API against the engine: for
+// every worker setting, Session.Run and Session.RunBatch must be
+// byte-identical to core.Run (sequential), sched.Run (parallel) and
+// sched.RunBatch. (The name predates the removal of the package-level
+// Run/RunParallel/RunBatch shims the test used to compare against.)
 func TestSessionShimIdentity(t *testing.T) {
 	build := func() *Network {
 		net := NewNetwork()
@@ -144,10 +148,10 @@ func TestSessionShimIdentity(t *testing.T) {
 			t.Fatal(err)
 		}
 		var want *Result
-		if w < 0 {
-			want, err = RunParallel(build(), inject, sefl.NewTCPPacket(), opts)
+		if w > 1 || w < 0 {
+			want, err = sched.Run(build(), inject, sefl.NewTCPPacket(), opts, w)
 		} else {
-			want, err = Run(build(), inject, sefl.NewTCPPacket(), opts)
+			want, err = core.Run(build(), inject, sefl.NewTCPPacket(), opts)
 		}
 		if err != nil {
 			t.Fatal(err)
@@ -155,7 +159,7 @@ func TestSessionShimIdentity(t *testing.T) {
 		compareResults(t, fmt.Sprintf("workers=%d", w), got, want)
 	}
 
-	// RunBatch shim vs Session.RunBatch, same jobs.
+	// sched.RunBatch vs Session.RunBatch, same jobs.
 	jobs := []BatchJob{
 		{Name: "web", Inject: inject, Packet: sefl.NewTCPPacket(), Opts: Options{Trace: true}},
 		{Name: "dup", Inject: inject, Packet: sefl.NewTCPPacket(), Opts: Options{Trace: true}},
@@ -165,7 +169,7 @@ func TestSessionShimIdentity(t *testing.T) {
 		t.Fatal(err)
 	}
 	got := sess.RunBatch(jobs)
-	want := RunBatch(build(), jobs, 2)
+	want := sched.RunBatch(build(), jobs, 2)
 	if len(got) != len(want) {
 		t.Fatalf("batch result count %d != %d", len(got), len(want))
 	}
