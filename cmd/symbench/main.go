@@ -1171,10 +1171,11 @@ func churnBench(rep *reporter, quick, heavy bool, workers int, o *obs.Obs) {
 func churnBurstRow(rep *reporter, name string, fresh func() *core.Network, register func(*churn.Service),
 	srcs []core.PortRef, packet sefl.Instr, targets []string, opts core.Options,
 	deltas []churn.Delta, workers int, reg *obs.Registry) {
+	opts.Workers = workers
 	build := func() *churn.Service {
 		svc := churn.NewService(churn.Config{
 			Net: fresh(), Sources: srcs, Targets: targets,
-			Packet: packet, Opts: opts, Workers: workers, Reg: reg,
+			Packet: packet, Opts: opts, Reg: reg,
 		})
 		register(svc)
 		if err := svc.Init(); err != nil {
@@ -1243,9 +1244,10 @@ func churnRow(rep *reporter, name string, fresh func() *core.Network, register f
 		}
 	}
 
+	opts.Workers = workers
 	svc := churn.NewService(churn.Config{
 		Net: fresh(), Sources: srcs, Targets: targets,
-		Packet: packet, Opts: opts, Workers: workers, Reg: reg,
+		Packet: packet, Opts: opts, Reg: reg,
 	})
 	register(svc)
 	t0 := time.Now()

@@ -8,10 +8,12 @@
 //	symnetd -network department -listen 127.0.0.1:7080
 //	symnetd -network backbone -quick -debug-addr 127.0.0.1:7081
 //
-// The serving core is a churn.Resident: one absorber goroutine drains a
-// bounded intake queue and coalesces concurrently queued deltas into a
-// single staged batch — one patch pass and one re-verification per batch —
-// while readers traverse immutable published report versions lock-free.
+// The daemon only builds its topology and tables; the serving stack is
+// symnet.Compile + Session.Serve, and the HTTP handlers sit directly on the
+// resulting *symnet.Serving. Its absorber goroutine drains a bounded intake
+// queue and coalesces concurrently queued deltas into a single staged batch —
+// one patch pass and one re-verification per batch — while readers traverse
+// immutable published report versions lock-free.
 //
 // Endpoints (JSON; errors use a uniform {"error": ..., "code": ...} envelope):
 //
@@ -30,18 +32,22 @@
 //	GET  /v1/snapshot      export the resident tables + version as JSON
 //	POST /v1/snapshot      restore a previously exported snapshot
 //
-// The pre-/v1 paths (/delta, /report) answer 301 to their /v1 successors.
+// POST bodies are capped at 64 MiB (413, code "body_too_large"), and request
+// headers must arrive within ReadHeaderTimeout. There is no write timeout, so
+// /v1/watch SSE streams stay open.
 //
 // -state FILE restores a snapshot at startup (if the file exists) and
 // persists one on SIGINT/SIGTERM shutdown. -debug-addr serves expvar under
-// /debug/vars with the churn.* instruments (churn.batch_ns, churn.version,
-// churn.queue.depth, churn.watch.subscribers, ...) and the shared
-// solver.satcache.* counters, plus net/http/pprof.
+// /debug/vars from the serving registry — the churn.* instruments
+// (churn.batch_ns, churn.version, churn.queue.depth, churn.watch.subscribers,
+// ...), the shared solver.satcache.* counters and, with a fleet, dist.* —
+// plus net/http/pprof. It comes up once the initial verification is resident.
 package main
 
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"log"
@@ -53,20 +59,24 @@ import (
 	"syscall"
 	"time"
 
+	"symnet"
 	"symnet/internal/churn"
-	"symnet/internal/core"
 	"symnet/internal/datasets"
 	"symnet/internal/dist"
 	"symnet/internal/obs"
 	"symnet/internal/sefl"
 )
 
-// buildService constructs the resident workload for a named topology. The
-// injected packet is destination-constrained (one monitored zone / the
-// department's first IP hop) so deltas stay localized — the regime the
-// incremental service is built for.
-func buildService(network string, quick, heavy bool, workers int, runner churn.BatchRunner, reg *obs.Registry) (*churn.Service, string, error) {
-	opts := core.Options{}
+// maxBodyBytes caps the POST bodies of /v1/delta and /v1/snapshot (the
+// backbone -heavy snapshot is ~166 KB).
+const maxBodyBytes = 64 << 20
+
+// buildWorkload constructs the resident workload for a named topology: the
+// network plus the ServeConfig naming its monitored matrix and the tables
+// deltas will mutate. The injected packet is destination-constrained (one
+// monitored zone / the department's first IP hop) so deltas stay localized —
+// the regime the incremental service is built for.
+func buildWorkload(network string, quick, heavy bool) (*symnet.Network, symnet.ServeConfig, string, error) {
 	switch network {
 	case "backbone":
 		zones, perZone := 8, 100
@@ -78,67 +88,79 @@ func buildService(network string, quick, heavy bool, workers int, runner churn.B
 		}
 		b := datasets.StanfordBackbone(zones, perZone)
 		sources, targets := b.AllPairs()
-		packet := sefl.Seq(
-			sefl.NewIPPacket(),
-			sefl.Constrain{C: sefl.Prefix{E: sefl.Ref{LV: sefl.IPDst}, Value: sefl.IPToNumber("10.0.0.0"), Len: 16}},
-		)
-		svc := churn.NewService(churn.Config{
-			Net: b.Net, Sources: sources, Targets: targets,
-			Packet: packet, Opts: opts, Workers: workers, Runner: runner, Reg: reg,
-		})
-		for name, fib := range b.FIBs {
-			svc.RegisterRouter(name, fib)
+		cfg := symnet.ServeConfig{
+			Sources: sources, Targets: targets, Routers: b.FIBs,
+			Packet: sefl.Seq(
+				sefl.NewIPPacket(),
+				sefl.Constrain{C: sefl.Prefix{E: sefl.Ref{LV: sefl.IPDst}, Value: sefl.IPToNumber("10.0.0.0"), Len: 16}},
+			),
 		}
 		desc := fmt.Sprintf("stanford backbone (%d zones, %d routes/zone, %d rules)", zones, perZone, b.Rules)
-		return svc, desc, nil
+		return b.Net, cfg, desc, nil
 	case "department":
-		cfg := datasets.DefaultDepartment()
+		dc := datasets.DefaultDepartment()
 		if quick {
-			cfg = datasets.DepartmentConfig{NumAccessSwitches: 4, HostsPerSwitch: 40, Routes: 60, Seed: 11}
+			dc = datasets.DepartmentConfig{NumAccessSwitches: 4, HostsPerSwitch: 40, Routes: 60, Seed: 11}
 		}
 		if heavy {
-			cfg = datasets.HeavyDepartment()
+			dc = datasets.HeavyDepartment()
 		}
-		d := datasets.NewDepartment(cfg)
+		d := datasets.NewDepartment(dc)
 		sources, targets := d.AllPairs()
-		packet := sefl.Seq(
-			sefl.NewTCPPacket(),
-			sefl.Constrain{C: sefl.Eq(sefl.Ref{LV: sefl.EtherDst}, sefl.CW(sefl.MACToNumber(d.ASAMac), sefl.MACWidth))},
-		)
-		svc := churn.NewService(churn.Config{
-			Net: d.Net, Sources: sources, Targets: targets,
-			Packet: packet, Opts: opts, Workers: workers, Runner: runner, Reg: reg,
-		})
-		for name, tbl := range d.MACTables {
-			svc.RegisterSwitch(name, tbl)
-		}
-		for name, fib := range d.FIBs {
-			svc.RegisterRouter(name, fib)
+		cfg := symnet.ServeConfig{
+			Sources: sources, Targets: targets, Routers: d.FIBs, Switches: d.MACTables,
+			Packet: sefl.Seq(
+				sefl.NewTCPPacket(),
+				sefl.Constrain{C: sefl.Eq(sefl.Ref{LV: sefl.EtherDst}, sefl.CW(sefl.MACToNumber(d.ASAMac), sefl.MACWidth))},
+			),
 		}
 		desc := fmt.Sprintf("department (%d access switches, %d MAC entries, %d routes)",
-			cfg.NumAccessSwitches, d.MACEntries, d.RouteEntries)
-		return svc, desc, nil
+			dc.NumAccessSwitches, d.MACEntries, d.RouteEntries)
+		return d.Net, cfg, desc, nil
 	}
-	return nil, "", fmt.Errorf("unknown -network %q (want department|backbone)", network)
+	return nil, symnet.ServeConfig{}, "", fmt.Errorf("unknown -network %q (want department|backbone)", network)
 }
 
-// server exposes a churn.Resident over the /v1 HTTP surface. All mutations
-// funnel through the resident's absorber; report and watch reads are
-// lock-free against published versions.
+// startServing compiles the network and serves the workload. The options
+// leave Obs nil, so compiled-program execution stays untimed; the serving
+// registry (Serving.Registry) carries the daemon's metrics.
+func startServing(net *symnet.Network, cfg symnet.ServeConfig, workers int) (*symnet.Serving, error) {
+	sess, err := symnet.Compile(net, symnet.Options{Workers: workers})
+	if err != nil {
+		return nil, err
+	}
+	return sess.Serve(cfg)
+}
+
+// server exposes a Serving handle over the /v1 HTTP surface. All mutations
+// funnel through its absorber; report and watch reads are lock-free against
+// published versions.
 type server struct {
-	res *churn.Resident
+	sv *symnet.Serving
 	// maxWait bounds long-poll waits (/v1/report?version=, /v1/watch?poll=1)
 	// so proxies do not reap idle connections.
 	maxWait time.Duration
 }
 
-func newServer(res *churn.Resident) *server {
-	return &server{res: res, maxWait: 25 * time.Second}
+func newServer(sv *symnet.Serving) *server {
+	return &server{sv: sv, maxWait: 25 * time.Second}
 }
 
 // writeErr emits the uniform error envelope.
 func writeErr(w http.ResponseWriter, status int, code, msg string) {
 	writeJSON(w, status, map[string]string{"error": msg, "code": code})
+}
+
+// writeBodyErr answers a request body that failed to decode: 413 when it
+// exceeded maxBodyBytes, else 400 with the given code.
+func writeBodyErr(w http.ResponseWriter, code string, err error) {
+	var tooLarge *http.MaxBytesError
+	if errors.As(err, &tooLarge) {
+		writeErr(w, http.StatusRequestEntityTooLarge, "body_too_large",
+			fmt.Sprintf("request body exceeds %d bytes", tooLarge.Limit))
+		return
+	}
+	writeErr(w, http.StatusBadRequest, code, err.Error())
 }
 
 func writeJSON(w http.ResponseWriter, status int, v any) {
@@ -151,7 +173,9 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 
 // deltaResponse is the wire shape of one absorbed POST /v1/delta stream.
 type deltaResponse struct {
-	// Version is the report version after this submission.
+	// Version is the version that contains this stream's deltas
+	// (Batch.Version) when any applied; otherwise the version current when
+	// the reply was built.
 	Version uint64 `json:"version"`
 	// Applied counts this stream's deltas that were absorbed; Rejected the
 	// inapplicable ones; Malformed the undecodable lines.
@@ -173,9 +197,9 @@ func (s *server) handleDelta(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, http.StatusMethodNotAllowed, "method_not_allowed", "POST required")
 		return
 	}
-	ds, bad, err := churn.DecodeDeltasLenient(r.Body)
+	ds, bad, err := churn.DecodeDeltasLenient(http.MaxBytesReader(w, r.Body, maxBodyBytes))
 	if err != nil {
-		writeErr(w, http.StatusBadRequest, "bad_stream", err.Error())
+		writeBodyErr(w, "bad_stream", err)
 		return
 	}
 	if len(ds) == 0 && len(bad) == 0 {
@@ -188,13 +212,19 @@ func (s *server) handleDelta(w http.ResponseWriter, r *http.Request) {
 			fmt.Sprintf("all %d lines malformed (line %d: %s)", len(bad), bad[0].Line, bad[0].Err))
 		return
 	}
-	res, err := s.res.Submit(r.Context(), ds)
+	res, err := s.sv.Apply(r.Context(), ds...)
 	if err != nil {
 		writeErr(w, http.StatusServiceUnavailable, "submit_failed", err.Error())
 		return
 	}
+	// Another pass may commit before this reply is built, so the version
+	// comes from the pass that carried these deltas.
+	version := s.sv.Current().Version
+	if res.Batch != nil {
+		version = res.Batch.Version
+	}
 	out := deltaResponse{
-		Version:   s.res.Current().Version,
+		Version:   version,
 		Applied:   res.Applied,
 		Rejected:  len(ds) - res.Applied,
 		Malformed: len(bad),
@@ -258,7 +288,7 @@ func (s *server) handleReport(w http.ResponseWriter, r *http.Request) {
 	}
 	q := r.URL.Query().Get("version")
 	if q == "" {
-		writeJSON(w, http.StatusOK, reportOf(s.res.Current()))
+		writeJSON(w, http.StatusOK, reportOf(s.sv.Current()))
 		return
 	}
 	since, err := strconv.ParseUint(q, 10, 64)
@@ -269,9 +299,9 @@ func (s *server) handleReport(w http.ResponseWriter, r *http.Request) {
 	// Long poll: answer as soon as a version newer than `since` is
 	// published. Subscribe before the fast-path check so a publish between
 	// the two cannot be missed.
-	sub := s.res.Watch(8)
+	sub := s.sv.Watch(8)
 	defer sub.Cancel()
-	if pr := s.res.Current(); pr.Version > since {
+	if pr := s.sv.Current(); pr.Version > since {
 		writeJSON(w, http.StatusOK, reportOf(pr))
 		return
 	}
@@ -283,14 +313,14 @@ func (s *server) handleReport(w http.ResponseWriter, r *http.Request) {
 			if !ok {
 				// Dropped (lagged) or hub closed: the current version is
 				// still authoritative.
-				if pr := s.res.Current(); pr.Version > since {
+				if pr := s.sv.Current(); pr.Version > since {
 					writeJSON(w, http.StatusOK, reportOf(pr))
 				} else {
 					w.WriteHeader(http.StatusNoContent)
 				}
 				return
 			}
-			if pr := s.res.Current(); pr.Version > since {
+			if pr := s.sv.Current(); pr.Version > since {
 				writeJSON(w, http.StatusOK, reportOf(pr))
 				return
 			}
@@ -319,7 +349,7 @@ func (s *server) handleWatch(w http.ResponseWriter, r *http.Request) {
 		since = n
 	} else {
 		// Default to "from now": only future transitions.
-		since = s.res.Current().Version
+		since = s.sv.Current().Version
 	}
 	if q.Get("poll") != "" {
 		s.watchPoll(w, r, since)
@@ -332,12 +362,12 @@ func (s *server) handleWatch(w http.ResponseWriter, r *http.Request) {
 // `since` immediately, else wait for the next publish; 204 on timeout, 410
 // when `since` is beyond the replay ring (client must re-read /v1/report).
 func (s *server) watchPoll(w http.ResponseWriter, r *http.Request, since uint64) {
-	sub := s.res.Watch(64)
+	sub := s.sv.Watch(64)
 	defer sub.Cancel()
 	timer := time.NewTimer(s.waitFor(r))
 	defer timer.Stop()
 	for {
-		evs, ok := s.res.TransitionsSince(since)
+		evs, ok := s.sv.TransitionsSince(since)
 		if !ok {
 			writeErr(w, http.StatusGone, "resync",
 				fmt.Sprintf("version %d is beyond the replay window; re-read /v1/report", since))
@@ -373,7 +403,7 @@ func (s *server) watchSSE(w http.ResponseWriter, r *http.Request, since uint64) 
 	}
 	// Subscribe before replaying so no publish can fall between replay and
 	// live delivery; events already replayed are skipped by version.
-	sub := s.res.Watch(64)
+	sub := s.sv.Watch(64)
 	defer sub.Cancel()
 	w.Header().Set("Content-Type", "text/event-stream")
 	w.Header().Set("Cache-Control", "no-cache")
@@ -395,7 +425,7 @@ func (s *server) watchSSE(w http.ResponseWriter, r *http.Request, since uint64) 
 	}
 
 	last := since
-	if evs, complete := s.res.TransitionsSince(since); complete {
+	if evs, complete := s.sv.TransitionsSince(since); complete {
 		for _, ev := range evs {
 			if !send(ev) {
 				return
@@ -405,7 +435,7 @@ func (s *server) watchSSE(w http.ResponseWriter, r *http.Request, since uint64) 
 	} else {
 		// Beyond the ring: tell the client to re-sync its baseline, then
 		// stream live from here.
-		fmt.Fprintf(w, "event: resync\ndata: {\"version\": %d}\n\n", s.res.Current().Version)
+		fmt.Fprintf(w, "event: resync\ndata: {\"version\": %d}\n\n", s.sv.Current().Version)
 		fl.Flush()
 	}
 	for {
@@ -413,7 +443,7 @@ func (s *server) watchSSE(w http.ResponseWriter, r *http.Request, since uint64) 
 		case ev, chOK := <-sub.Events:
 			if !chOK {
 				// Lagged past the buffer or shutdown; the client reconnects.
-				fmt.Fprintf(w, "event: resync\ndata: {\"version\": %d}\n\n", s.res.Current().Version)
+				fmt.Fprintf(w, "event: resync\ndata: {\"version\": %d}\n\n", s.sv.Current().Version)
 				fl.Flush()
 				return
 			}
@@ -433,19 +463,19 @@ func (s *server) watchSSE(w http.ResponseWriter, r *http.Request, since uint64) 
 func (s *server) handleSnapshot(w http.ResponseWriter, r *http.Request) {
 	switch r.Method {
 	case http.MethodGet:
-		st, err := s.res.Export(r.Context())
+		st, err := s.sv.Export(r.Context())
 		if err != nil {
 			writeErr(w, http.StatusServiceUnavailable, "export_failed", err.Error())
 			return
 		}
 		writeJSON(w, http.StatusOK, st)
 	case http.MethodPost:
-		st, err := churn.ReadState(r.Body)
+		st, err := churn.ReadState(http.MaxBytesReader(w, r.Body, maxBodyBytes))
 		if err != nil {
-			writeErr(w, http.StatusBadRequest, "bad_snapshot", err.Error())
+			writeBodyErr(w, "bad_snapshot", err)
 			return
 		}
-		pub, err := s.res.Restore(r.Context(), st)
+		pub, err := s.sv.Restore(r.Context(), st)
 		if err != nil {
 			writeErr(w, http.StatusUnprocessableEntity, "restore_failed", err.Error())
 			return
@@ -470,21 +500,7 @@ func (s *server) mux() *http.ServeMux {
 	mux.HandleFunc("/v1/report", s.handleReport)
 	mux.HandleFunc("/v1/watch", s.handleWatch)
 	mux.HandleFunc("/v1/snapshot", s.handleSnapshot)
-	// Pre-/v1 paths moved permanently.
-	mux.Handle("/delta", redirectV1("/v1/delta"))
-	mux.Handle("/report", redirectV1("/v1/report"))
 	return mux
-}
-
-// redirectV1 301s to the /v1 path, preserving the query string.
-func redirectV1(target string) http.Handler {
-	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		u := target
-		if r.URL.RawQuery != "" {
-			u += "?" + r.URL.RawQuery
-		}
-		http.Redirect(w, r, u, http.StatusMovedPermanently)
-	})
 }
 
 func main() {
@@ -498,54 +514,37 @@ func main() {
 	listen := flag.String("listen", "127.0.0.1:7080", "HTTP listen address")
 	debugAddr := flag.String("debug-addr", "", "serve expvar metrics and pprof on this address")
 	stateFile := flag.String("state", "", "snapshot file: restored at startup if present, written on shutdown")
-	queueDepth := flag.Int("queue-depth", 256, "bound on queued delta submissions")
-	maxBatch := flag.Int("max-batch", 128, "max deltas coalesced into one absorption pass")
 	flag.Parse()
 
-	reg := obs.NewRegistry()
+	net, cfg, desc, err := buildWorkload(*network, *quick, *heavy)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "symnetd:", err)
+		os.Exit(2)
+	}
+	cfg.DistProcs = *distProcs
+	if *distWorkers != "" {
+		cfg.DistWorkers = strings.Split(*distWorkers, ",")
+		log.Printf("symnetd: verification fleet: %d TCP workers (%s)", len(cfg.DistWorkers), *distWorkers)
+	} else if *distProcs > 0 {
+		log.Printf("symnetd: verification fleet: %d local worker processes", *distProcs)
+	}
+	log.Printf("symnetd: compiling %s", desc)
+	start := time.Now()
+	sv, err := startServing(net, cfg, *workers)
+	if err != nil {
+		log.Fatalf("symnetd: %v", err)
+	}
+	rep := sv.Current().Report
+	log.Printf("symnetd: resident report ready in %v (%d cells)",
+		time.Since(start).Round(time.Millisecond), len(rep.Sources)*len(rep.Targets))
+
 	if *debugAddr != "" {
-		addr, err := obs.ServeDebug(*debugAddr, reg)
+		addr, err := obs.ServeDebug(*debugAddr, sv.Registry())
 		if err != nil {
 			log.Fatalf("symnetd: debug server: %v", err)
 		}
 		log.Printf("symnetd: metrics at http://%s/debug/vars", addr)
 	}
-
-	var pool *dist.Pool
-	var runner churn.BatchRunner
-	if *distWorkers != "" || *distProcs > 0 {
-		var addrs []string
-		if *distWorkers != "" {
-			addrs = strings.Split(*distWorkers, ",")
-		}
-		var perr error
-		pool, perr = dist.NewPool(dist.Config{
-			Procs: *distProcs, Workers: addrs, WorkersPerProc: *workers,
-			ShareSat: true, Obs: obs.New(reg, nil),
-		})
-		if perr != nil {
-			log.Fatalf("symnetd: %v", perr)
-		}
-		defer pool.Close()
-		runner = pool
-		if len(addrs) > 0 {
-			log.Printf("symnetd: verification fleet: %d TCP workers (%s)", len(addrs), *distWorkers)
-		} else {
-			log.Printf("symnetd: verification fleet: %d local worker processes", *distProcs)
-		}
-	}
-
-	svc, desc, err := buildService(*network, *quick, *heavy, *workers, runner, reg)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "symnetd:", err)
-		os.Exit(2)
-	}
-	log.Printf("symnetd: compiling %s", desc)
-	start := time.Now()
-	if err := svc.Init(); err != nil {
-		log.Fatalf("symnetd: initial verification: %v", err)
-	}
-	log.Printf("symnetd: resident report ready in %v (%d cells)", time.Since(start).Round(time.Millisecond), svc.TotalCells())
 
 	if *stateFile != "" {
 		if f, err := os.Open(*stateFile); err == nil {
@@ -554,7 +553,7 @@ func main() {
 			if rerr != nil {
 				log.Fatalf("symnetd: -state %s: %v", *stateFile, rerr)
 			}
-			pub, rerr := svc.RestoreState(st)
+			pub, rerr := sv.Restore(context.Background(), st)
 			if rerr != nil {
 				log.Fatalf("symnetd: restore %s: %v", *stateFile, rerr)
 			}
@@ -564,13 +563,8 @@ func main() {
 		}
 	}
 
-	res := churn.NewResident(svc, churn.ResidentConfig{QueueDepth: *queueDepth, MaxBatch: *maxBatch})
-	if err := res.Start(); err != nil {
-		log.Fatalf("symnetd: %v", err)
-	}
-
-	s := newServer(res)
-	httpSrv := &http.Server{Addr: *listen, Handler: s.mux()}
+	s := newServer(sv)
+	httpSrv := &http.Server{Addr: *listen, Handler: s.mux(), ReadHeaderTimeout: 10 * time.Second}
 	errc := make(chan error, 1)
 	go func() { errc <- httpSrv.ListenAndServe() }()
 	log.Printf("symnetd: listening on %s", *listen)
@@ -586,7 +580,7 @@ func main() {
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
 	if *stateFile != "" {
-		if st, err := res.Export(ctx); err != nil {
+		if st, err := sv.Export(ctx); err != nil {
 			log.Printf("symnetd: export on shutdown: %v", err)
 		} else if f, err := os.Create(*stateFile); err != nil {
 			log.Printf("symnetd: write %s: %v", *stateFile, err)
@@ -602,7 +596,7 @@ func main() {
 			}
 		}
 	}
-	res.Close()
+	sv.Close()
 	if err := httpSrv.Shutdown(ctx); err != nil {
 		log.Printf("symnetd: shutdown: %v", err)
 	}

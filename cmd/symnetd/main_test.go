@@ -14,26 +14,27 @@ import (
 	"testing"
 	"time"
 
+	"symnet"
 	"symnet/internal/churn"
-	"symnet/internal/obs"
 )
 
-func newTestServer(t *testing.T, network string) (*server, *obs.Registry) {
+// newServing serves a -quick topology the way main does.
+func newServing(network string) (*symnet.Serving, error) {
+	net, cfg, _, err := buildWorkload(network, true, false)
+	if err != nil {
+		return nil, err
+	}
+	return startServing(net, cfg, 2)
+}
+
+func newTestServer(t *testing.T, network string) *server {
 	t.Helper()
-	reg := obs.NewRegistry()
-	svc, _, err := buildService(network, true, false, 2, nil, reg)
+	sv, err := newServing(network)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := svc.Init(); err != nil {
-		t.Fatal(err)
-	}
-	res := churn.NewResident(svc, churn.ResidentConfig{})
-	if err := res.Start(); err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(res.Close)
-	return newServer(res), reg
+	t.Cleanup(sv.Close)
+	return newServer(sv)
 }
 
 // The department fixture's initial verification costs seconds, so the
@@ -49,22 +50,12 @@ var (
 func deptServer(t *testing.T) (*server, *httptest.Server) {
 	t.Helper()
 	deptOnce.Do(func() {
-		reg := obs.NewRegistry()
-		svc, _, err := buildService("department", true, false, 2, nil, reg)
+		sv, err := newServing("department")
 		if err != nil {
 			deptErr = err
 			return
 		}
-		if err := svc.Init(); err != nil {
-			deptErr = err
-			return
-		}
-		res := churn.NewResident(svc, churn.ResidentConfig{})
-		if err := res.Start(); err != nil {
-			deptErr = err
-			return
-		}
-		deptSrv = newServer(res)
+		deptSrv = newServer(sv)
 		deptTS = httptest.NewServer(deptSrv.mux())
 	})
 	if deptErr != nil {
@@ -77,7 +68,7 @@ func deptServer(t *testing.T) (*server, *httptest.Server) {
 // backbone: health, a localized route delta on a non-monitored zone, and the
 // resident report afterwards.
 func TestDaemonDeltaRoundTrip(t *testing.T) {
-	s, reg := newTestServer(t, "backbone")
+	s := newTestServer(t, "backbone")
 	ts := httptest.NewServer(s.mux())
 	defer ts.Close()
 
@@ -119,8 +110,9 @@ func TestDaemonDeltaRoundTrip(t *testing.T) {
 	if out.Batch.DirtySources != 1 {
 		t.Fatalf("batch dirtied %d sources, want 1 (localized)", out.Batch.DirtySources)
 	}
-	if out.Batch.CellsReverified >= s.res.Service().TotalCells() {
-		t.Fatalf("batch reverified %d cells, want < %d", out.Batch.CellsReverified, s.res.Service().TotalCells())
+	cur := s.sv.Current().Report
+	if cells := len(cur.Sources) * len(cur.Targets); out.Batch.CellsReverified >= cells {
+		t.Fatalf("batch reverified %d cells, want < %d", out.Batch.CellsReverified, cells)
 	}
 
 	resp, err = http.Get(ts.URL + "/v1/report")
@@ -139,7 +131,7 @@ func TestDaemonDeltaRoundTrip(t *testing.T) {
 		t.Fatalf("report version=%d deltas=%d, want %d/2", rep.Version, rep.DeltasApplied, out.Version)
 	}
 
-	snap := reg.Snapshot()
+	snap := s.sv.Registry().Snapshot()
 	if snap.Counters["churn.deltas.applied"] != 2 || snap.Counters["churn.cells.reverified"] == 0 {
 		t.Fatalf("churn metrics not exported: %v", snap.Counters)
 	}
@@ -233,36 +225,12 @@ func TestDaemonDeltaStatuses(t *testing.T) {
 	}
 }
 
-func TestDaemonRedirects(t *testing.T) {
-	_, ts := deptServer(t)
-	client := &http.Client{CheckRedirect: func(*http.Request, []*http.Request) error {
-		return http.ErrUseLastResponse
-	}}
-	for old, want := range map[string]string{
-		"/delta":            "/v1/delta",
-		"/report":           "/v1/report",
-		"/report?version=3": "/v1/report?version=3",
-	} {
-		resp, err := client.Get(ts.URL + old)
-		if err != nil {
-			t.Fatal(err)
-		}
-		resp.Body.Close()
-		if resp.StatusCode != http.StatusMovedPermanently {
-			t.Fatalf("%s: status %d, want 301", old, resp.StatusCode)
-		}
-		if loc := resp.Header.Get("Location"); loc != want {
-			t.Fatalf("%s: Location %q, want %q", old, loc, want)
-		}
-	}
-}
-
 // TestDaemonReportLongPoll: ?version= blocks until a newer version publishes
 // and 204s on timeout.
 func TestDaemonReportLongPoll(t *testing.T) {
 	s, ts := deptServer(t)
 
-	cur := s.res.Current().Version
+	cur := s.sv.Current().Version
 	// Already-newer version: immediate.
 	resp, err := http.Get(fmt.Sprintf("%s/v1/report?version=%d", ts.URL, cur-1))
 	if err != nil {
@@ -329,7 +297,7 @@ func TestDaemonWatchPoll(t *testing.T) {
 	// Deleting asw0's upstream (ASA) MAC entry cuts its hosts off from every
 	// monitored target — a guaranteed reachability flip; watch from the
 	// pre-delta version must observe the transition.
-	since := s.res.Current().Version
+	since := s.sv.Current().Version
 	resp, err = http.Post(ts.URL+"/v1/delta", "application/json",
 		strings.NewReader(`{"elem":"asw0","op":"delete","mac":"02:aa:00:00:00:01"}`+"\n"))
 	if err != nil {
@@ -383,7 +351,7 @@ func TestDaemonWatchPoll(t *testing.T) {
 func TestDaemonWatchSSE(t *testing.T) {
 	s, ts := deptServer(t)
 
-	since := s.res.Current().Version
+	since := s.sv.Current().Version
 	resp, err := http.Get(fmt.Sprintf("%s/v1/watch?since=%d", ts.URL, since))
 	if err != nil {
 		t.Fatal(err)
@@ -585,7 +553,7 @@ func TestDaemonConcurrentChurn(t *testing.T) {
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		since := s.res.Current().Version
+		since := s.sv.Current().Version
 		for {
 			select {
 			case <-stop:
@@ -620,7 +588,7 @@ func TestDaemonConcurrentChurn(t *testing.T) {
 		}
 	}()
 
-	startV := s.res.Current().Version
+	startV := s.sv.Current().Version
 	for i := 0; i < rounds; i++ {
 		// One stream per round: the round's deltas coalesce into one pass.
 		resp, err := http.Post(ts.URL+"/v1/delta", "application/json", strings.NewReader(round(i)))
@@ -641,7 +609,122 @@ func TestDaemonConcurrentChurn(t *testing.T) {
 		t.Fatal(msg)
 	default:
 	}
-	if got := s.res.Current().Version; got != startV+rounds {
+	if got := s.sv.Current().Version; got != startV+rounds {
 		t.Fatalf("final version %d, want %d (+1 per round)", got, startV+rounds)
 	}
+}
+
+// TestDaemonDeltaVersionConcurrent: concurrent POSTs on different zone
+// routers of the quick backbone land in several absorption passes, and every
+// applied reply names the version of the pass that carried its deltas, even
+// when a later pass has committed before the reply is built.
+func TestDaemonDeltaVersionConcurrent(t *testing.T) {
+	s := newTestServer(t, "backbone")
+	ts := httptest.NewServer(s.mux())
+	defer ts.Close()
+
+	// Zones 1-3 own 10.z.0.0/16 with /24s .0-.23 populated; .100 and up are
+	// fresh inserts on an existing port.
+	const perZone = 4
+	var wg sync.WaitGroup
+	fail := make(chan string, 3*perZone)
+	for z := 1; z <= 3; z++ {
+		wg.Add(1)
+		go func(z int) {
+			defer wg.Done()
+			for i := 0; i < perZone; i++ {
+				body := fmt.Sprintf(`{"elem":"zone%d","op":"insert","prefix":"10.%d.%d.0/24","port":2}`+"\n", z, z, 100+i)
+				resp, err := http.Post(ts.URL+"/v1/delta", "application/json", strings.NewReader(body))
+				if err != nil {
+					fail <- err.Error()
+					return
+				}
+				var out deltaResponse
+				err = json.NewDecoder(resp.Body).Decode(&out)
+				resp.Body.Close()
+				switch {
+				case err != nil:
+					fail <- err.Error()
+				case resp.StatusCode != http.StatusOK || out.Applied != 1 || out.Batch == nil:
+					fail <- fmt.Sprintf("zone%d delta %d: status %d, %+v", z, i, resp.StatusCode, out)
+				case out.Version != out.Batch.Version:
+					fail <- fmt.Sprintf("zone%d delta %d: reply version %d, batch version %d", z, i, out.Version, out.Batch.Version)
+				}
+			}
+		}(z)
+	}
+	wg.Wait()
+	close(fail)
+	for msg := range fail {
+		t.Error(msg)
+	}
+}
+
+// TestDaemonBodyLimit: POST bodies past maxBodyBytes answer 413 with the
+// body_too_large envelope on both delta and snapshot, and the daemon keeps
+// serving afterwards.
+func TestDaemonBodyLimit(t *testing.T) {
+	s := newTestServer(t, "backbone")
+	ts := httptest.NewServer(s.mux())
+	defer ts.Close()
+
+	// Bodies are generated on the fly, so the test never holds 64 MiB.
+	oversize := map[string]func() io.Reader{
+		// Comment lines are skipped by the decoder, so nothing accumulates.
+		"/v1/delta": func() io.Reader {
+			line := "#" + strings.Repeat("x", 1023) + "\n"
+			return io.LimitReader(repeatReader(line), maxBodyBytes+4096)
+		},
+		"/v1/snapshot": func() io.Reader {
+			return io.MultiReader(strings.NewReader(`{"schema":1,"routers":{"`),
+				io.LimitReader(repeatReader(strings.Repeat("a", 1024)), maxBodyBytes+4096))
+		},
+	}
+	for path, body := range oversize {
+		resp, err := http.Post(ts.URL+path, "application/json", body())
+		if err != nil {
+			t.Fatalf("%s: %v", path, err)
+		}
+		var env struct {
+			Code string `json:"code"`
+		}
+		err = json.NewDecoder(resp.Body).Decode(&env)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusRequestEntityTooLarge || err != nil || env.Code != "body_too_large" {
+			t.Fatalf("%s: status %d code %q (%v), want 413 body_too_large", path, resp.StatusCode, env.Code, err)
+		}
+	}
+
+	resp, err := http.Post(ts.URL+"/v1/delta", "application/json",
+		strings.NewReader(`{"elem":"zone1","op":"insert","prefix":"10.1.90.0/24","port":2}`+"\n"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var out deltaResponse
+	err = json.NewDecoder(resp.Body).Decode(&out)
+	resp.Body.Close()
+	if err != nil || resp.StatusCode != http.StatusOK || out.Applied != 1 {
+		t.Fatalf("delta after 413s: status %d, %+v, %v", resp.StatusCode, out, err)
+	}
+	resp, err = http.Get(ts.URL + "/v1/report")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var rep reportPayload
+	err = json.NewDecoder(resp.Body).Decode(&rep)
+	resp.Body.Close()
+	if err != nil || resp.StatusCode != http.StatusOK || rep.Version != out.Version {
+		t.Fatalf("report after 413s: status %d version %d (want %d), %v", resp.StatusCode, rep.Version, out.Version, err)
+	}
+}
+
+// repeatReader yields s forever.
+type repeatReader string
+
+func (r repeatReader) Read(p []byte) (int, error) {
+	n := 0
+	for n < len(p) {
+		n += copy(p[n:], r)
+	}
+	return n, nil
 }

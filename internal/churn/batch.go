@@ -372,7 +372,7 @@ func (r *BatchResult) countPort(a Action) {
 // and a single re-verification pass covers the union dirty set. Staging is
 // all-or-nothing — any inapplicable delta fails the whole call before
 // resident state is touched (per-delta skip semantics live in
-// Resident.Submit).
+// Resident.Apply).
 func (s *Service) ApplyBatch(ds []Delta) (*BatchResult, error) {
 	st := s.NewStage()
 	for i, d := range ds {

@@ -16,8 +16,7 @@ func newDiffService(t *testing.T, workers int) *Service {
 		Sources: []core.PortRef{{Elem: "sw", Port: 1}, {Elem: "sw", Port: 2}},
 		Targets: []string{"hosts", "net0", "net1", "net2"},
 		Packet:  sefl.NewTCPPacket(),
-		Opts:    core.Options{Trace: true},
-		Workers: workers,
+		Opts:    core.Options{Trace: true, Workers: workers},
 	})
 	svc.RegisterRouter("rt", diffFIB())
 	svc.RegisterSwitch("sw", diffMACs())
@@ -215,7 +214,7 @@ func TestStagePerDeltaAtomicity(t *testing.T) {
 	}
 }
 
-// TestApplyBatchAllOrNothing: ApplyBatch (unlike Resident.Submit) rejects
+// TestApplyBatchAllOrNothing: ApplyBatch (unlike Resident.Apply) rejects
 // the whole batch when any delta fails to stage, leaving state untouched.
 func TestApplyBatchAllOrNothing(t *testing.T) {
 	svc := newDiffService(t, 1)

@@ -134,8 +134,7 @@ func TestServiceDifferential(t *testing.T) {
 			Sources: sources,
 			Targets: targets,
 			Packet:  packet,
-			Opts:    opts,
-			Workers: w,
+			Opts:    core.Options{Trace: true, Workers: w},
 		})
 		svc.RegisterRouter("rt", diffFIB())
 		svc.RegisterSwitch("sw", diffMACs())

@@ -99,8 +99,7 @@ func TestServiceLocalizedDeltas(t *testing.T) {
 		Sources: sources,
 		Targets: targets,
 		Packet:  packet,
-		Opts:    opts,
-		Workers: 2,
+		Opts:    core.Options{Trace: true, Workers: 2},
 	})
 	for name, tbl := range asw {
 		svc.RegisterSwitch(name, tbl)

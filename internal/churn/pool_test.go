@@ -42,7 +42,6 @@ func TestServiceDifferentialPool(t *testing.T) {
 	sources := []core.PortRef{{Elem: "sw", Port: 1}, {Elem: "sw", Port: 2}}
 	targets := []string{"hosts", "net0", "net1", "net2"}
 	packet := sefl.NewTCPPacket()
-	opts := core.Options{Trace: true}
 
 	mk := func(runner BatchRunner) *Service {
 		svc := NewService(Config{
@@ -50,8 +49,7 @@ func TestServiceDifferentialPool(t *testing.T) {
 			Sources: sources,
 			Targets: targets,
 			Packet:  packet,
-			Opts:    opts,
-			Workers: 2,
+			Opts:    core.Options{Trace: true, Workers: 2},
 			Runner:  runner,
 		})
 		svc.RegisterRouter("rt", diffFIB())

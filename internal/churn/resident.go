@@ -11,14 +11,14 @@ import (
 // ResidentConfig bounds the concurrent serving wrapper.
 type ResidentConfig struct {
 	// QueueDepth bounds the intake queue (pending submissions); a full
-	// queue back-pressures Submit. Default 256.
+	// queue back-pressures Apply. Default 256.
 	QueueDepth int
 	// MaxBatch caps how many deltas one absorption pass coalesces.
 	// Default 128.
 	MaxBatch int
 }
 
-// DeltaStatus is the per-delta outcome of a Submit: either applied as part
+// DeltaStatus is the per-delta outcome of an Apply: either applied as part
 // of the submission's batch or rejected with the staging error (the rest of
 // the submission still applies).
 type DeltaStatus struct {
@@ -27,8 +27,8 @@ type DeltaStatus struct {
 	Err     string `json:"error,omitempty"`
 }
 
-// SubmitResult reports one submission's absorption.
-type SubmitResult struct {
+// ApplyResult reports one Apply call's absorption.
+type ApplyResult struct {
 	// Batch is the absorption pass this submission rode in; it may cover
 	// deltas from other submissions coalesced into the same pass. Nil when
 	// every delta in the submission was rejected at staging.
@@ -56,18 +56,22 @@ type submission struct {
 }
 
 type submitReply struct {
-	res   *SubmitResult
+	res   *ApplyResult
 	state *State
 	pub   *PublishedReport
 	err   error
 }
 
-// Resident wraps a Service for concurrent serving: all mutations funnel
-// through a bounded intake queue drained by a single absorber goroutine,
-// which coalesces everything queued into one Stage/Commit pass — N deltas to
-// the same table collapse into one patch and one re-verification. Reads
-// (Current, Watch, TransitionsSince) go straight to the service's lock-free
-// published snapshots.
+// Resident is a live churn-serving handle over a Service: a resident
+// verification of the configured all-pairs query that absorbs rule deltas
+// incrementally and publishes versioned report snapshots. All mutations
+// funnel through a bounded intake queue drained by a single absorber
+// goroutine, which coalesces everything queued into one Stage/Commit pass —
+// N deltas to the same table collapse into one patch and one
+// re-verification. Reads (Current, Version, Watch, TransitionsSince) go
+// straight to the service's lock-free published snapshots. Every published
+// report is byte-identical to a from-scratch verification of the same rules
+// (pinned by the differential tests in this package).
 type Resident struct {
 	svc    *Service
 	cfg    ResidentConfig
@@ -104,17 +108,25 @@ func NewResident(svc *Service, cfg ResidentConfig) *Resident {
 	}
 }
 
-// Service exposes the wrapped single-writer service. Mutating it directly
-// while the absorber runs is a data race; use Submit.
-func (r *Resident) Service() *Service { return r.svc }
+// Registry returns the registry carrying the churn.* and solver.satcache.*
+// instruments (and dist.* when the service's Runner shares it).
+func (r *Resident) Registry() *obs.Registry { return r.svc.Registry() }
 
-// Current returns the latest published report version, lock-free.
+// Current returns the latest published report snapshot, lock-free.
 func (r *Resident) Current() *PublishedReport { return r.svc.Current() }
 
-// Watch subscribes to published versions (see Service.Watch).
+// Version returns the latest published version number.
+func (r *Resident) Version() uint64 { return r.svc.Version() }
+
+// Watch subscribes to published versions. Events carry the reachability
+// transitions vs the previous version; a subscriber that falls more than
+// buffer events behind is dropped (its channel closes) and must re-sync
+// via Current or TransitionsSince.
 func (r *Resident) Watch(buffer int) *Subscription { return r.svc.Watch(buffer) }
 
-// TransitionsSince replays retained events (see Service.TransitionsSince).
+// TransitionsSince replays retained events with Version > since, oldest
+// first. A false second return means since is beyond the replay ring and
+// the caller must re-read Current instead.
 func (r *Resident) TransitionsSince(since uint64) ([]VersionEvent, bool) {
 	return r.svc.TransitionsSince(since)
 }
@@ -129,8 +141,9 @@ func (r *Resident) Start() error {
 	return nil
 }
 
-// Close stops the absorber after the current pass; queued submissions are
-// failed. Watch subscriptions are closed.
+// Close stops the absorber after the current pass, closes watch
+// subscriptions, and closes the service's Runner when one is configured.
+// Queued submissions are failed.
 func (r *Resident) Close() {
 	r.closeOnce.Do(func() { close(r.done) })
 	r.wg.Wait()
@@ -138,15 +151,17 @@ func (r *Resident) Close() {
 	// everything, if Start was never called).
 	r.failPending()
 	r.svc.hub.close()
+	if run := r.svc.cfg.Runner; run != nil {
+		run.Close()
+	}
 }
 
-// Submit enqueues deltas for absorption and blocks until their pass commits
+// Apply enqueues deltas for absorption and blocks until their pass commits
 // (or ctx is done / the resident closes). Deltas are staged in order;
 // an inapplicable delta is rejected in its Statuses entry and the rest of
-// the submission still applies. Concurrently queued submissions coalesce
-// into the same pass, so the returned Batch may cover more deltas than this
-// submission's.
-func (r *Resident) Submit(ctx context.Context, ds []Delta) (*SubmitResult, error) {
+// the submission still applies. Concurrent Apply calls coalesce into the
+// same pass, so the returned Batch may cover more deltas than this call's.
+func (r *Resident) Apply(ctx context.Context, ds ...Delta) (*ApplyResult, error) {
 	rep, err := r.roundTrip(ctx, &submission{kind: kindDeltas, ds: ds})
 	if err != nil {
 		return nil, err
@@ -260,9 +275,9 @@ func (r *Resident) absorb(batch []*submission) {
 	}
 	if len(batch) > 0 {
 		st := r.svc.NewStage()
-		results := make([]*SubmitResult, len(batch))
+		results := make([]*ApplyResult, len(batch))
 		for i, sub := range batch {
-			res := &SubmitResult{Statuses: make([]DeltaStatus, len(sub.ds))}
+			res := &ApplyResult{Statuses: make([]DeltaStatus, len(sub.ds))}
 			for j, d := range sub.ds {
 				ds := DeltaStatus{Delta: d}
 				if err := st.Add(d); err != nil {
@@ -288,7 +303,9 @@ func (r *Resident) absorb(batch []*submission) {
 				sub.reply <- submitReply{err: err}
 				continue
 			}
-			results[i].Batch = br
+			if results[i].Applied > 0 {
+				results[i].Batch = br
+			}
 			sub.reply <- submitReply{res: results[i]}
 		}
 	}

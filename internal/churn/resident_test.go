@@ -26,13 +26,13 @@ func TestResidentCoalesces(t *testing.T) {
 	// Enqueue all submissions while the absorber is not yet running, so the
 	// first pass finds a full queue to coalesce.
 	var wg sync.WaitGroup
-	results := make([]*SubmitResult, len(fds))
+	results := make([]*ApplyResult, len(fds))
 	errs := make([]error, len(fds))
 	for i, d := range fds {
 		wg.Add(1)
 		go func(i int, d Delta) {
 			defer wg.Done()
-			results[i], errs[i] = r.Submit(context.Background(), []Delta{d})
+			results[i], errs[i] = r.Apply(context.Background(), d)
 		}(i, d)
 	}
 	waitGauge(t, svc, "churn.queue.depth", int64(len(fds)))
@@ -106,12 +106,12 @@ func TestResidentMixedSuccess(t *testing.T) {
 	}
 	defer r.Close()
 
-	res, err := r.Submit(context.Background(), []Delta{
-		{Elem: "rt", Op: OpInsert, Prefix: "99.0.0.0/8", Port: 1},
-		{Elem: "rt", Op: OpDelete, Prefix: "1.2.3.0/24"}, // not present
-		{Elem: "nosuch", Op: OpInsert, Prefix: "5.0.0.0/8", Port: 0},
-		{Elem: "rt", Op: OpInsert, Prefix: "98.0.0.0/8", Port: 0},
-	})
+	res, err := r.Apply(context.Background(),
+		Delta{Elem: "rt", Op: OpInsert, Prefix: "99.0.0.0/8", Port: 1},
+		Delta{Elem: "rt", Op: OpDelete, Prefix: "1.2.3.0/24"}, // not present
+		Delta{Elem: "nosuch", Op: OpInsert, Prefix: "5.0.0.0/8", Port: 0},
+		Delta{Elem: "rt", Op: OpInsert, Prefix: "98.0.0.0/8", Port: 0},
+	)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -130,9 +130,7 @@ func TestResidentMixedSuccess(t *testing.T) {
 
 	// All-rejected submission: no commit, nil Batch, no version bump.
 	before := svc.Version()
-	res, err = r.Submit(context.Background(), []Delta{
-		{Elem: "rt", Op: OpDelete, Prefix: "1.2.3.0/24"},
-	})
+	res, err = r.Apply(context.Background(), Delta{Elem: "rt", Op: OpDelete, Prefix: "1.2.3.0/24"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -237,7 +235,7 @@ func TestResidentConcurrentReaders(t *testing.T) {
 		go func(ds []Delta) {
 			defer writers.Done()
 			for _, d := range ds {
-				if _, err := r.Submit(context.Background(), []Delta{d}); err != nil {
+				if _, err := r.Apply(context.Background(), d); err != nil {
 					fail <- fmt.Sprintf("submit %s: %v", d, err)
 					return
 				}
@@ -275,14 +273,14 @@ func TestResidentConcurrentReaders(t *testing.T) {
 }
 
 // TestResidentCloseFailsPending: submissions still queued at Close are
-// answered with an error, and Submit after Close fails fast.
+// answered with an error, and Apply after Close fails fast.
 func TestResidentCloseFailsPending(t *testing.T) {
 	svc := newDiffService(t, 1)
 	r := NewResident(svc, ResidentConfig{QueueDepth: 8})
 	// Never started: queue a submission, then close.
 	errc := make(chan error, 1)
 	go func() {
-		_, err := r.Submit(context.Background(), []Delta{{Elem: "rt", Op: OpInsert, Prefix: "99.0.0.0/8", Port: 0}})
+		_, err := r.Apply(context.Background(), Delta{Elem: "rt", Op: OpInsert, Prefix: "99.0.0.0/8", Port: 0})
 		errc <- err
 	}()
 	waitGauge(t, svc, "churn.queue.depth", 1)
@@ -290,8 +288,8 @@ func TestResidentCloseFailsPending(t *testing.T) {
 	if err := <-errc; err == nil {
 		t.Fatal("queued submission survived Close without error")
 	}
-	if _, err := r.Submit(context.Background(), nil); err == nil {
-		t.Fatal("Submit after Close succeeded")
+	if _, err := r.Apply(context.Background()); err == nil {
+		t.Fatal("Apply after Close succeeded")
 	}
 	// Context cancellation also unblocks.
 	r2 := NewResident(newDiffService(t, 1), ResidentConfig{QueueDepth: 1})

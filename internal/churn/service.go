@@ -32,20 +32,21 @@ type BatchRunner interface {
 	// Invalidate marks everything changed (model rebuilds, restores); the
 	// next RunBatch ships workers a full setup.
 	Invalidate()
+	// Close dismisses the runner's workers; Resident.Close calls it.
+	Close() error
 }
 
 // Config describes the resident verification workload: the network, the
-// all-pairs query (sources, packet, targets), run options, and batch
-// parallelism for re-verification.
+// all-pairs query (sources, packet, targets) and run options.
 type Config struct {
 	Net     *core.Network
 	Sources []core.PortRef
 	Targets []string
 	Packet  sefl.Instr
-	Opts    core.Options
-	// Workers bounds the re-verification batch pool (<= 0: GOMAXPROCS).
-	// Ignored when Runner is set (the runner owns its parallelism).
-	Workers int
+	// Opts configures every verification pass. Opts.Workers bounds the
+	// in-process batch pool (<= 0: GOMAXPROCS); it is ignored when Runner is
+	// set (the runner owns its parallelism).
+	Opts core.Options
 	// Runner, when set, carries every verification pass — the initial
 	// all-pairs run and each re-verification — through a distributed batch
 	// runner (typically a dist.Pool spanning worker processes or machines)
@@ -231,7 +232,7 @@ func (s *Service) Init() error {
 // tests pin byte-identical to in-process runs).
 func (s *Service) runFull() (*verify.AllPairsReport, error) {
 	if s.cfg.Runner == nil {
-		rep, err := verify.AllPairsReachability(s.cfg.Net, s.cfg.Sources, s.cfg.Packet, s.cfg.Targets, s.cfg.Opts, s.cfg.Workers)
+		rep, err := verify.AllPairsReachability(s.cfg.Net, s.cfg.Sources, s.cfg.Packet, s.cfg.Targets, s.cfg.Opts, s.cfg.Opts.Workers)
 		if err != nil {
 			return nil, err
 		}
@@ -421,7 +422,7 @@ func (s *Service) reverify(dirty map[int]bool, res *BatchResult) error {
 			s.spliceSummary(next, i, jr.Summary)
 		}
 	} else {
-		results := sched.RunBatch(s.cfg.Net, jobs, s.cfg.Workers)
+		results := sched.RunBatch(s.cfg.Net, jobs, s.cfg.Opts.Workers)
 		for k, i := range idx {
 			jr := results[k]
 			if jr.Err != nil {

@@ -2,9 +2,7 @@ package core
 
 // Regression tests for the cache invalidation contract: SetInCode and
 // SetOutCode must drop the compiled program for the rebound port, or a stale
-// program would keep executing the old code after a rebind. (Some test names
-// predate the removal of per-element summaries, which were cached beside
-// programs; they are kept so test IDs stay stable.)
+// program would keep executing the old code after a rebind.
 
 import (
 	"testing"
@@ -33,7 +31,7 @@ func populate(t *testing.T, e *Element, port int, out bool) any {
 	return pv
 }
 
-func TestSetInCodeInvalidatesProgramAndSummary(t *testing.T) {
+func TestSetInCodeInvalidatesProgram(t *testing.T) {
 	_, e := programCacheFixture()
 	populate(t, e, 0, false)
 
@@ -50,7 +48,7 @@ func TestSetInCodeInvalidatesProgramAndSummary(t *testing.T) {
 	}
 }
 
-func TestSetOutCodeInvalidatesProgramAndSummary(t *testing.T) {
+func TestSetOutCodeInvalidatesProgram(t *testing.T) {
 	_, e := programCacheFixture()
 	pv := populate(t, e, 1, true)
 
@@ -77,9 +75,9 @@ func TestSetCodeInvalidationIsPortScoped(t *testing.T) {
 	}
 }
 
-// TestSummaryRebindBehavioral runs the engine across a rebind: results must
+// TestProgramRebindBehavioral runs the engine across a rebind: results must
 // track the new code, proving no stale program survives end-to-end.
-func TestSummaryRebindBehavioral(t *testing.T) {
+func TestProgramRebindBehavioral(t *testing.T) {
 	net := NewNetwork()
 	e := net.AddElement("dut", "dut", 1, 2)
 	e.SetInCode(0, sefl.Forward{Port: 0})

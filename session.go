@@ -1,7 +1,6 @@
 package symnet
 
 import (
-	"context"
 	"fmt"
 	"io"
 
@@ -9,6 +8,7 @@ import (
 	"symnet/internal/core"
 	"symnet/internal/dist"
 	"symnet/internal/models"
+	"symnet/internal/obs"
 	"symnet/internal/sched"
 	"symnet/internal/sefl"
 	"symnet/internal/tables"
@@ -44,7 +44,7 @@ type (
 	DeltaStatus = churn.DeltaStatus
 	// ApplyReport reports one Apply call's absorption: the (possibly
 	// coalesced) batch it rode in plus per-delta statuses.
-	ApplyReport = churn.SubmitResult
+	ApplyReport = churn.ApplyResult
 	// BatchReport describes one absorbed batch: reconcile tier, dirty-set
 	// size, cells re-verified, reachability transitions, elapsed time.
 	BatchReport = churn.BatchResult
@@ -93,19 +93,16 @@ type Session struct {
 	opts Options
 }
 
-// Compile validates the network, warms every element's compiled programs
-// (so first-query latency excludes compilation), and pins the session's
-// run options. A nil Options.SatMemo is replaced with a fresh session-held
-// memo, so repeated queries share solver verdicts by default.
+// Compile validates the network and pins the session's run options. Element
+// programs compile lazily on first use. A nil Options.SatMemo is replaced
+// with a fresh session-held memo, so repeated queries share solver verdicts
+// by default.
 func Compile(net *Network, opts Options) (*Session, error) {
 	if net == nil {
 		return nil, fmt.Errorf("symnet: Compile on nil network")
 	}
 	if opts.SatMemo == nil {
 		opts.SatMemo = NewSatMemo()
-	}
-	for _, e := range net.Elements() {
-		e.Programs() // warm the lazily-compiled per-port programs
 	}
 	return &Session{net: net, opts: opts}, nil
 }
@@ -161,12 +158,6 @@ type ServeConfig struct {
 	// Routers and Switches map element names to their authoritative tables.
 	Routers  map[string]FIB
 	Switches map[string]MACTable
-	// QueueDepth bounds the intake queue (default 256); a full queue
-	// back-pressures Apply.
-	QueueDepth int
-	// MaxBatch caps how many deltas one absorption pass coalesces
-	// (default 128).
-	MaxBatch int
 	// DistProcs > 0 shards every verification pass (the initial all-pairs run
 	// and each churn re-verification) across that many persistent local
 	// worker subprocesses instead of the in-process scheduler. The pool
@@ -182,20 +173,17 @@ type ServeConfig struct {
 
 // Serving is a live churn-serving handle: a resident verification of the
 // configured all-pairs query that absorbs rule deltas incrementally and
-// publishes versioned report snapshots. Reads (Current, Watch,
+// publishes versioned report snapshots. Reads (Current, Version, Watch,
 // TransitionsSince) are lock-free; all mutations funnel through Apply's
-// single-writer absorber, which coalesces concurrent submissions. Every
-// published report is byte-identical to a from-scratch verification of the
-// same rules (pinned by the differential tests in internal/churn).
-type Serving struct {
-	svc  *churn.Service
-	res  *churn.Resident
-	pool *dist.Pool
-}
+// single-writer absorber, which coalesces concurrent calls into one pass.
+// Every published report is byte-identical to a from-scratch verification of
+// the same rules. Registry exposes the churn.*, solver.satcache.* and (with a
+// fleet) dist.* instruments. See churn.Resident for the full method docs.
+type Serving = churn.Resident
 
 // Serve models the configured elements from their tables, runs the initial
 // all-pairs verification (published as version 1), and starts the absorber.
-// Close the handle when done.
+// Close the handle when done; it also dismisses the worker fleet.
 func (s *Session) Serve(cfg ServeConfig) (*Serving, error) {
 	for name, fib := range cfg.Routers {
 		e, ok := s.net.Element(name)
@@ -215,16 +203,23 @@ func (s *Session) Serve(cfg ServeConfig) (*Serving, error) {
 			return nil, fmt.Errorf("symnet: serve: model switch %q: %w", name, err)
 		}
 	}
-	var pool *dist.Pool
+	// The serving registry (Serving.Registry) carries the churn.* and
+	// solver.satcache.* instruments, and the pool's dist.* ones unless
+	// Options.Obs claims them. The engine keeps Options.Obs as given, so a
+	// nil Obs leaves compiled-program execution untimed.
+	reg := obs.NewRegistry()
+	poolObs := s.opts.Obs
+	if poolObs == nil {
+		poolObs = obs.New(reg, nil)
+	}
 	var runner churn.BatchRunner
 	if cfg.DistProcs > 0 || len(cfg.DistWorkers) > 0 {
-		var err error
-		pool, err = dist.NewPool(dist.Config{
+		pool, err := dist.NewPool(dist.Config{
 			Procs:          cfg.DistProcs,
 			Workers:        cfg.DistWorkers,
 			WorkersPerProc: s.opts.Workers,
 			ShareSat:       true,
-			Obs:            s.opts.Obs,
+			Obs:            poolObs,
 		})
 		if err != nil {
 			return nil, fmt.Errorf("symnet: serve: %w", err)
@@ -237,8 +232,8 @@ func (s *Session) Serve(cfg ServeConfig) (*Serving, error) {
 		Targets: cfg.Targets,
 		Packet:  cfg.Packet,
 		Opts:    s.opts,
-		Workers: s.opts.Workers,
 		Runner:  runner,
+		Reg:     reg,
 	})
 	for name, fib := range cfg.Routers {
 		svc.RegisterRouter(name, fib)
@@ -246,74 +241,14 @@ func (s *Session) Serve(cfg ServeConfig) (*Serving, error) {
 	for name, tbl := range cfg.Switches {
 		svc.RegisterSwitch(name, tbl)
 	}
+	res := churn.NewResident(svc, churn.ResidentConfig{})
 	if err := svc.Init(); err != nil {
-		if pool != nil {
-			pool.Close()
-		}
+		res.Close() // dismisses the pool
 		return nil, fmt.Errorf("symnet: serve: initial verification: %w", err)
 	}
-	res := churn.NewResident(svc, churn.ResidentConfig{
-		QueueDepth: cfg.QueueDepth,
-		MaxBatch:   cfg.MaxBatch,
-	})
 	if err := res.Start(); err != nil {
-		if pool != nil {
-			pool.Close()
-		}
+		res.Close()
 		return nil, err
 	}
-	return &Serving{svc: svc, res: res, pool: pool}, nil
-}
-
-// Apply submits deltas for absorption and blocks until their pass commits
-// (or ctx is done). Deltas are staged in order; an inapplicable delta is
-// rejected in its DeltaStatus and the rest still applies. Concurrent Apply
-// calls coalesce into one absorption pass.
-func (v *Serving) Apply(ctx context.Context, ds ...Delta) (*ApplyReport, error) {
-	return v.res.Submit(ctx, ds)
-}
-
-// Current returns the latest published report snapshot, lock-free.
-func (v *Serving) Current() *PublishedReport { return v.res.Current() }
-
-// Version returns the latest published version number.
-func (v *Serving) Version() uint64 { return v.svc.Version() }
-
-// Watch subscribes to published versions. Events carry the reachability
-// transitions vs the previous version; a subscriber that falls more than
-// buffer events behind is dropped (its channel closes) and must re-sync
-// via Current or TransitionsSince.
-func (v *Serving) Watch(buffer int) *Subscription { return v.res.Watch(buffer) }
-
-// TransitionsSince replays retained events with Version > since, oldest
-// first. A false second return means since is beyond the replay ring and
-// the caller must re-read Current instead.
-func (v *Serving) TransitionsSince(since uint64) ([]VersionEvent, bool) {
-	return v.res.TransitionsSince(since)
-}
-
-// Export captures a consistent snapshot of the resident tables + version,
-// serialized with absorption (never a half-applied batch).
-func (v *Serving) Export(ctx context.Context) (*ServingState, error) {
-	return v.res.Export(ctx)
-}
-
-// Restore replaces the resident tables with the snapshot's and re-runs the
-// full verification, publishing the result as the next version (versions
-// stay monotone even when the snapshot is older).
-func (v *Serving) Restore(ctx context.Context, st *ServingState) (*PublishedReport, error) {
-	return v.res.Restore(ctx, st)
-}
-
-// Barrier waits until every Apply queued before it has been absorbed.
-func (v *Serving) Barrier(ctx context.Context) error { return v.res.Barrier(ctx) }
-
-// Close stops the absorber, closes watch subscriptions, and dismisses the
-// distributed worker pool when one is configured. Queued Apply calls are
-// failed.
-func (v *Serving) Close() {
-	v.res.Close()
-	if v.pool != nil {
-		v.pool.Close()
-	}
+	return res, nil
 }

@@ -111,12 +111,11 @@ func compareAllPairs(t *testing.T, label string, got, want *AllPairsReport) {
 	}
 }
 
-// TestSessionShimIdentity pins the session API against the engine: for
+// TestSessionMatchesEngine pins the session API against the engine: for
 // every worker setting, Session.Run and Session.RunBatch must be
 // byte-identical to core.Run (sequential), sched.Run (parallel) and
-// sched.RunBatch. (The name predates the removal of the package-level
-// Run/RunParallel/RunBatch shims the test used to compare against.)
-func TestSessionShimIdentity(t *testing.T) {
+// sched.RunBatch.
+func TestSessionMatchesEngine(t *testing.T) {
 	build := func() *Network {
 		net := NewNetwork()
 		fw := net.AddElement("fw", "firewall", 1, 2)

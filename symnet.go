@@ -30,8 +30,8 @@
 //	sess, err := symnet.Compile(net, symnet.Options{})
 //	res, err := sess.Run(symnet.PortRef{Elem: "fw", Port: 0}, sefl.NewTCPPacket())
 //
-// A Session pins the run options, warms compiled programs, and shares a
-// satisfiability memo across queries; Session.Serve starts a resident
+// A Session pins the run options and shares a satisfiability memo across
+// queries (programs compile on first use); Session.Serve starts a resident
 // churn-serving handle (versioned reports, delta batching, watch feed).
 package symnet
 
