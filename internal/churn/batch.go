@@ -291,7 +291,7 @@ func (s *Service) commitFIB(e *core.Element, elem string, es *elemStage, res *Ba
 		s.pendingInvalidate = true
 		res.ElemsRebuilt++
 		res.Action = worse(res.Action, ActionRebuilt)
-		for i := range s.visitedElem[elem] {
+		for _, i := range s.visitedElem[elem].members() {
 			dirty[i] = true
 		}
 	} else {
@@ -308,7 +308,7 @@ func (s *Service) commitFIB(e *core.Element, elem string, es *elemStage, res *Ba
 			res.Action = worse(res.Action, action)
 			res.countPort(action)
 			s.noteRefresh(core.PortRef{Elem: elem, Port: p, Out: true})
-			for i := range s.visited[core.PortRef{Elem: elem, Port: p, Out: true}] {
+			for _, i := range s.visited[core.PortRef{Elem: elem, Port: p, Out: true}].members() {
 				dirty[i] = true
 			}
 		}
@@ -332,7 +332,7 @@ func (s *Service) commitMAC(e *core.Element, elem string, es *elemStage, res *Ba
 		s.pendingInvalidate = true
 		res.ElemsRebuilt++
 		res.Action = worse(res.Action, ActionRebuilt)
-		for i := range s.visitedElem[elem] {
+		for _, i := range s.visitedElem[elem].members() {
 			dirty[i] = true
 		}
 	} else {
@@ -349,7 +349,7 @@ func (s *Service) commitMAC(e *core.Element, elem string, es *elemStage, res *Ba
 			res.Action = worse(res.Action, action)
 			res.countPort(action)
 			s.noteRefresh(core.PortRef{Elem: elem, Port: p, Out: true})
-			for i := range s.visited[core.PortRef{Elem: elem, Port: p, Out: true}] {
+			for _, i := range s.visited[core.PortRef{Elem: elem, Port: p, Out: true}].members() {
 				dirty[i] = true
 			}
 		}

@@ -2,6 +2,7 @@ package churn
 
 import (
 	"fmt"
+	"math/bits"
 	"sort"
 	"sync/atomic"
 	"time"
@@ -115,9 +116,11 @@ type Service struct {
 	// can depend on p's guard, since the set of paths attempting a guard is
 	// decided by the upstream fork, not by the guard's content. visitedElem
 	// is the coarser per-element set used when a port-set change forces a
-	// model rebuild.
-	visited     map[core.PortRef]map[int]bool
-	visitedElem map[string]map[int]bool
+	// model rebuild. footprint[i] lists the distinct ports source i visited,
+	// so re-indexing a source touches only its own entries.
+	visited     map[core.PortRef]srcSet
+	visitedElem map[string]srcSet
+	footprint   [][]core.PortRef
 
 	// pendingRefresh collects the output ports whose guards the current
 	// commit patched or recompiled; pendingInvalidate is set by the rebuild
@@ -127,6 +130,8 @@ type Service struct {
 	pendingRefresh    []core.PortRef
 	pendingInvalidate bool
 
+	exploreNs       *obs.Histogram
+	indexNs         *obs.Histogram
 	deltaNs         *obs.Histogram
 	batchNs         *obs.Histogram
 	batchSize       *obs.Histogram
@@ -158,9 +163,9 @@ func NewService(cfg Config) *Service {
 		reg:             reg,
 		routers:         make(map[string]tables.FIB),
 		switches:        make(map[string]tables.MACTable),
-		visited:         make(map[core.PortRef]map[int]bool),
-		visitedElem:     make(map[string]map[int]bool),
 		hub:             newHub(reg),
+		exploreNs:       reg.Histogram("churn.phase.explore_ns"),
+		indexNs:         reg.Histogram("churn.phase.index_ns"),
 		deltaNs:         reg.Histogram("churn.delta_ns"),
 		batchNs:         reg.Histogram("churn.batch_ns"),
 		batchSize:       reg.Histogram("churn.batch_size"),
@@ -174,6 +179,7 @@ func NewService(cfg Config) *Service {
 		recompiledPorts: reg.Counter("churn.ports.recompiled"),
 		rebuiltElems:    reg.Counter("churn.elems.rebuilt"),
 	}
+	s.resetIndex()
 	return s
 }
 
@@ -229,14 +235,22 @@ func (s *Service) Init() error {
 // and rebuilds the dependency index. In runner mode the report is assembled
 // from worker summaries (Results entries stay nil; reachability, path counts
 // and the index come from the summarized histories, which the dist property
-// tests pin byte-identical to in-process runs).
+// tests pin byte-identical to in-process runs). The two phases land in
+// churn.phase.explore_ns and churn.phase.index_ns.
 func (s *Service) runFull() (*verify.AllPairsReport, error) {
+	explore := s.exploreNs.Start()
 	if s.cfg.Runner == nil {
 		rep, err := verify.AllPairsReachability(s.cfg.Net, s.cfg.Sources, s.cfg.Packet, s.cfg.Targets, s.cfg.Opts, s.cfg.Opts.Workers)
 		if err != nil {
 			return nil, err
 		}
-		s.reindex(rep)
+		explore.Stop()
+		s.resetIndex()
+		index := s.indexNs.Start()
+		for i, res := range rep.Results {
+			s.index(i, res.VisitedPorts())
+		}
+		index.Stop()
 		return rep, nil
 	}
 	jobs := make([]dist.Job, len(s.cfg.Sources))
@@ -244,6 +258,7 @@ func (s *Service) runFull() (*verify.AllPairsReport, error) {
 		jobs[i] = dist.Job{Name: src.String(), Inject: src, Packet: s.cfg.Packet, Opts: s.cfg.Opts}
 	}
 	results := s.cfg.Runner.RunBatch(s.cfg.Net, jobs)
+	explore.Stop()
 	rep := &verify.AllPairsReport{
 		Sources:   s.cfg.Sources,
 		Targets:   s.cfg.Targets,
@@ -251,33 +266,19 @@ func (s *Service) runFull() (*verify.AllPairsReport, error) {
 		PathCount: make([][]int, len(s.cfg.Sources)),
 		Results:   make([]*core.Result, len(s.cfg.Sources)),
 	}
-	s.visited = make(map[core.PortRef]map[int]bool)
-	s.visitedElem = make(map[string]map[int]bool)
 	for i, jr := range results {
 		if jr.Err != nil {
 			return nil, fmt.Errorf("churn: verify source %s: %w", jr.Name, jr.Err)
 		}
-		row := make([]bool, len(s.cfg.Targets))
-		cnt := make([]int, len(s.cfg.Targets))
-		for t, target := range s.cfg.Targets {
-			n := jr.Summary.DeliveredAt(target, -1)
-			row[t] = n > 0
-			cnt[t] = n
-		}
-		rep.Reachable[i] = row
-		rep.PathCount[i] = cnt
-		s.indexSummary(i, jr.Summary)
+		s.spliceSummary(rep, i, jr.Summary)
 	}
+	s.resetIndex()
+	index := s.indexNs.Start()
+	for i, jr := range results {
+		s.index(i, jr.Summary.VisitedPorts())
+	}
+	index.Stop()
 	return rep, nil
-}
-
-// reindex rebuilds the dependency index from scratch for a full report.
-func (s *Service) reindex(rep *verify.AllPairsReport) {
-	s.visited = make(map[core.PortRef]map[int]bool)
-	s.visitedElem = make(map[string]map[int]bool)
-	for i, res := range rep.Results {
-		s.indexSource(i, res)
-	}
 }
 
 // Apply absorbs one rule delta: update the authoritative table, patch or
@@ -412,8 +413,12 @@ func (s *Service) reverify(dirty map[int]bool, res *BatchResult) error {
 		jobs[k] = sched.Job{Name: src.String(), Inject: src, Packet: s.cfg.Packet, Opts: s.cfg.Opts}
 	}
 	next := s.report.CloneShallow()
+	// footprint(k) walks source idx[k]'s re-verified paths for its ports.
+	var footprint func(k int) []core.PortRef
+	explore := s.exploreNs.Start()
 	if s.cfg.Runner != nil {
 		results := s.cfg.Runner.RunBatch(s.cfg.Net, jobs)
+		explore.Stop()
 		for k, i := range idx {
 			jr := results[k]
 			if jr.Err != nil {
@@ -421,8 +426,10 @@ func (s *Service) reverify(dirty map[int]bool, res *BatchResult) error {
 			}
 			s.spliceSummary(next, i, jr.Summary)
 		}
+		footprint = func(k int) []core.PortRef { return results[k].Summary.VisitedPorts() }
 	} else {
 		results := sched.RunBatch(s.cfg.Net, jobs, s.cfg.Opts.Workers)
+		explore.Stop()
 		for k, i := range idx {
 			jr := results[k]
 			if jr.Err != nil {
@@ -430,15 +437,20 @@ func (s *Service) reverify(dirty map[int]bool, res *BatchResult) error {
 			}
 			s.spliceSource(next, i, jr.Result)
 		}
+		footprint = func(k int) []core.PortRef { return results[k].Result.VisitedPorts() }
 	}
+	index := s.indexNs.Start()
+	for k, i := range idx {
+		s.index(i, footprint(k))
+	}
+	index.Stop()
 	s.report = next
 	res.CellsReverified = len(idx) * len(s.cfg.Targets)
 	s.cellsReverified.Add(int64(res.CellsReverified))
 	return nil
 }
 
-// spliceSource replaces one source's row in the given report clone and
-// refreshes the dependency index for it.
+// spliceSource replaces one source's row in the given report clone.
 func (s *Service) spliceSource(rep *verify.AllPairsReport, i int, res *core.Result) {
 	rep.Results[i] = res
 	row := make([]bool, len(s.cfg.Targets))
@@ -450,13 +462,11 @@ func (s *Service) spliceSource(rep *verify.AllPairsReport, i int, res *core.Resu
 	}
 	rep.Reachable[i] = row
 	rep.PathCount[i] = cnt
-	s.dropFromIndex(i)
-	s.indexSource(i, res)
 }
 
-// spliceSummary is spliceSource for runner mode: the source's row and index
-// entries come from the worker summary, and the live-result slot goes nil
-// (the paths stayed in the worker).
+// spliceSummary is spliceSource for runner mode: the source's row comes from
+// the worker summary, and the live-result slot goes nil (the paths stayed in
+// the worker).
 func (s *Service) spliceSummary(rep *verify.AllPairsReport, i int, sum *dist.Summary) {
 	rep.Results[i] = nil
 	row := make([]bool, len(s.cfg.Targets))
@@ -468,58 +478,70 @@ func (s *Service) spliceSummary(rep *verify.AllPairsReport, i int, sum *dist.Sum
 	}
 	rep.Reachable[i] = row
 	rep.PathCount[i] = cnt
+}
+
+// srcSet is a set of source indices, one bit each.
+type srcSet []uint64
+
+// members returns the set's source indices in ascending order.
+func (b srcSet) members() []int {
+	var out []int
+	for w, word := range b {
+		for ; word != 0; word &= word - 1 {
+			out = append(out, w<<6|bits.TrailingZeros64(word))
+		}
+	}
+	return out
+}
+
+func (b srcSet) del(i int) { b[i>>6] &^= 1 << (i & 63) }
+
+// addSource adds source i of n to key's set, allocating the set on first use.
+func addSource[K comparable](m map[K]srcSet, key K, i, n int) {
+	b := m[key]
+	if b == nil {
+		b = make(srcSet, (n+63)/64)
+		m[key] = b
+	}
+	b[i>>6] |= 1 << (i & 63)
+}
+
+// resetIndex empties the dependency index ahead of a full re-index.
+func (s *Service) resetIndex() {
+	s.visited = make(map[core.PortRef]srcSet)
+	s.visitedElem = make(map[string]srcSet)
+	s.footprint = make([][]core.PortRef, len(s.cfg.Sources))
+}
+
+// index replaces source i's dependency-index entries with ports, the
+// distinct ports its paths visited (Result.VisitedPorts in process,
+// Summary.VisitedPorts in runner mode). Every path counts, whatever its
+// status: the engine pushes the output-port visit before executing the
+// guard, so failed paths carry the port whose guard killed them — exactly
+// the dependency that matters. The cost is the footprint's size, not the
+// length of the histories it came from.
+func (s *Service) index(i int, ports []core.PortRef) {
 	s.dropFromIndex(i)
-	s.indexSummary(i, sum)
-}
-
-// dropFromIndex removes source i from every dependency set ahead of its
-// re-index.
-func (s *Service) dropFromIndex(i int) {
-	for _, set := range s.visited {
-		delete(set, i)
-	}
-	for _, set := range s.visitedElem {
-		delete(set, i)
-	}
-}
-
-// indexSource records which output ports and elements source i's paths
-// traversed. Every path counts, whatever its status: the engine pushes the
-// output-port visit before executing the guard, so failed paths carry the
-// port whose guard killed them — exactly the dependency that matters.
-func (s *Service) indexSource(i int, res *core.Result) {
-	for _, p := range res.Paths {
-		s.indexHistory(i, p.History())
-	}
-}
-
-// indexSummary indexes source i from a worker summary's port histories —
-// the same histories indexSource reads from live paths, carried over the
-// wire.
-func (s *Service) indexSummary(i int, sum *dist.Summary) {
-	for k := range sum.Paths {
-		s.indexHistory(i, sum.Paths[k].Ports)
-	}
-}
-
-// indexHistory folds one path history into the dependency index.
-func (s *Service) indexHistory(i int, hist []core.PortRef) {
-	for _, pr := range hist {
+	n := len(s.cfg.Sources)
+	for _, pr := range ports {
 		if pr.Out {
-			set := s.visited[pr]
-			if set == nil {
-				set = make(map[int]bool)
-				s.visited[pr] = set
-			}
-			set[i] = true
+			addSource(s.visited, pr, i, n)
 		}
-		es := s.visitedElem[pr.Elem]
-		if es == nil {
-			es = make(map[int]bool)
-			s.visitedElem[pr.Elem] = es
-		}
-		es[i] = true
+		addSource(s.visitedElem, pr.Elem, i, n)
 	}
+	s.footprint[i] = ports
+}
+
+// dropFromIndex removes source i from the sets of the ports and elements in
+// its footprint.
+func (s *Service) dropFromIndex(i int) {
+	for _, pr := range s.footprint[i] {
+		if pr.Out {
+			s.visited[pr].del(i)
+		}
+		s.visitedElem[pr.Elem].del(i)
+	}
+	s.footprint[i] = nil
 }
 
 // routeRows converts compiled routes (CompileLPM order) to guard rows, the

@@ -170,7 +170,10 @@ type Path struct {
 
 // History returns the port-visit history, oldest first. The slice is built
 // per call (callers that iterate repeatedly should hold on to it); Last and
-// HistoryLen answer the common questions without materializing.
+// HistoryLen answer the common questions without materializing. Callers
+// that only need the set of ports a run touched should use
+// Result.VisitedPorts, which never materializes a history; the churn
+// dependency index uses it and does not call History.
 func (p *Path) History() []PortRef { return p.hist.slice() }
 
 // HistoryLen returns the number of port visits in O(1).
@@ -230,6 +233,38 @@ func (r *Result) DeliveredAt(elem string, port int) []*Path {
 		out = append(out, p)
 	}
 	return out
+}
+
+// VisitedPorts returns each distinct port any of the result's paths visited,
+// once, in walk order. Sibling paths share their history trail up to the
+// fork point, so the walk follows each path's trail newest-first and stops at
+// the first node it has already walked: every ancestor of a walked node has
+// been walked too. The cost is one step per distinct trail node plus one per
+// path, however long the materialized histories would be.
+func (r *Result) VisitedPorts() []PortRef {
+	ports, _ := r.walkPorts()
+	return ports
+}
+
+// walkPorts is VisitedPorts, also returning the number of trail nodes the
+// walk stepped on.
+func (r *Result) walkPorts() (ports []PortRef, steps int) {
+	walked := make(map[*trail[PortRef]]struct{})
+	seen := make(map[PortRef]struct{})
+	for _, p := range r.Paths {
+		for t := p.hist; t != nil; t = t.prev {
+			steps++
+			if _, ok := walked[t]; ok {
+				break
+			}
+			walked[t] = struct{}{}
+			if _, ok := seen[t.v]; !ok {
+				seen[t.v] = struct{}{}
+				ports = append(ports, t.v)
+			}
+		}
+	}
+	return ports, steps
 }
 
 // ByStatus returns all paths with the given status.

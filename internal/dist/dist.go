@@ -105,6 +105,24 @@ func (s *Summary) DeliveredAt(elem string, port int) int {
 	return n
 }
 
+// VisitedPorts returns each distinct port any summarized path visited, once,
+// mirroring core.Result.VisitedPorts as a set (the order may differ). The
+// wire carries every path's full history, so this pass is linear in their
+// total length.
+func (s *Summary) VisitedPorts() []core.PortRef {
+	seen := make(map[core.PortRef]struct{})
+	var ports []core.PortRef
+	for i := range s.Paths {
+		for _, pr := range s.Paths[i].Ports {
+			if _, ok := seen[pr]; !ok {
+				seen[pr] = struct{}{}
+				ports = append(ports, pr)
+			}
+		}
+	}
+	return ports
+}
+
 // Config tunes a distributed batch.
 type Config struct {
 	// Procs is the number of worker subprocesses. <= 0 runs the batch
