@@ -163,7 +163,7 @@ func main() {
 		stats = jr.Summary.Stats
 		for i := range jr.Summary.Paths {
 			p := &jr.Summary.Paths[i]
-			out = append(out, newPathJSON(p.ID, p.Status, p.FailMsg, p.Trace, p.Ports))
+			out = append(out, newPathJSON(p.ID, p.Status, p.FailMsg, p.Trace, jr.Summary.History(i)))
 		}
 	} else {
 		// An explicit SatCache (core.Run would make an anonymous one) so the

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"symnet/internal/core"
+	"symnet/internal/dist"
 	"symnet/internal/models"
 	"symnet/internal/sefl"
 	"symnet/internal/tables"
@@ -70,6 +71,10 @@ func buildDiffNet(t *testing.T, fib tables.FIB, tbl tables.MACTable) *core.Netwo
 	return n
 }
 
+// compareReports checks a service report against a reference: the
+// matrices, and each source's summary — against the live paths of a
+// from-scratch in-process verification, or field for field against another
+// service report's summary.
 func compareReports(t *testing.T, label string, got, want *verify.AllPairsReport) {
 	t.Helper()
 	if !reflect.DeepEqual(got.Reachable, want.Reachable) {
@@ -78,33 +83,51 @@ func compareReports(t *testing.T, label string, got, want *verify.AllPairsReport
 	if !reflect.DeepEqual(got.PathCount, want.PathCount) {
 		t.Fatalf("%s: path count matrix mismatch:\n got %v\nwant %v", label, got.PathCount, want.PathCount)
 	}
-	for i := range want.Results {
-		g, w := got.Results[i], want.Results[i]
-		if g.Stats != w.Stats {
-			t.Fatalf("%s: source %d stats mismatch:\n got %+v\nwant %+v", label, i, g.Stats, w.Stats)
+	if got.Results != nil || len(got.Summaries) != len(want.Sources) {
+		t.Fatalf("%s: report carries %d results and %d summaries, want none and %d", label, len(got.Results), len(got.Summaries), len(want.Sources))
+	}
+	for i := range want.Sources {
+		if want.Results != nil {
+			compareSummary(t, fmt.Sprintf("%s: source %d", label, i), got.Summaries[i], want.Results[i])
+		} else if !reflect.DeepEqual(got.Summaries[i], want.Summaries[i]) {
+			t.Fatalf("%s: source %d summary mismatch", label, i)
 		}
-		if len(g.Paths) != len(w.Paths) {
-			t.Fatalf("%s: source %d path count %d != %d", label, i, len(g.Paths), len(w.Paths))
+	}
+}
+
+// compareSummary checks one source's summary against a run's live paths:
+// run statistics, and per path its ID, status, failure message, trace,
+// history and constraint fingerprint.
+func compareSummary(t *testing.T, label string, sum *dist.Summary, res *core.Result) {
+	t.Helper()
+	if sum.Stats != res.Stats {
+		t.Fatalf("%s: stats mismatch:\n got %+v\nwant %+v", label, sum.Stats, res.Stats)
+	}
+	if len(sum.Paths) != len(res.Paths) {
+		t.Fatalf("%s: path count %d != %d", label, len(sum.Paths), len(res.Paths))
+	}
+	for j, wp := range res.Paths {
+		gp := &sum.Paths[j]
+		if gp.ID != wp.ID || gp.Status != wp.Status || gp.FailMsg != wp.FailMsg {
+			t.Fatalf("%s: path %d header mismatch: {%d %v %q} != {%d %v %q}",
+				label, j, gp.ID, gp.Status, gp.FailMsg, wp.ID, wp.Status, wp.FailMsg)
 		}
-		for j := range w.Paths {
-			gp, wp := g.Paths[j], w.Paths[j]
-			if gp.ID != wp.ID || gp.Status != wp.Status || gp.FailMsg != wp.FailMsg {
-				t.Fatalf("%s: source %d path %d header mismatch: {%d %v %q} != {%d %v %q}",
-					label, i, j, gp.ID, gp.Status, gp.FailMsg, wp.ID, wp.Status, wp.FailMsg)
-			}
-			if !reflect.DeepEqual(gp.Trace, wp.Trace) {
-				t.Fatalf("%s: source %d path %d trace mismatch:\n got %v\nwant %v", label, i, j, gp.Trace, wp.Trace)
-			}
-			if !reflect.DeepEqual(gp.History(), wp.History()) {
-				t.Fatalf("%s: source %d path %d history mismatch:\n got %v\nwant %v", label, i, j, gp.History(), wp.History())
-			}
+		if !reflect.DeepEqual(gp.Trace, wp.Trace) {
+			t.Fatalf("%s: path %d trace mismatch:\n got %v\nwant %v", label, j, gp.Trace, wp.Trace)
+		}
+		if got, want := sum.History(j), wp.History(); !reflect.DeepEqual(got, want) {
+			t.Fatalf("%s: path %d history mismatch:\n got %v\nwant %v", label, j, got, want)
+		}
+		if gp.CtxFp != wp.Ctx.Fingerprint() {
+			t.Fatalf("%s: path %d constraint fingerprint mismatch", label, j)
 		}
 	}
 }
 
 // TestServiceDifferential is the incremental-verification soundness pin:
 // after every delta in a mixed FIB/MAC stream, the resident report must be
-// byte-identical — results, traces, histories, and full run statistics — to
+// byte-identical — per-path statuses, messages, traces, histories and
+// constraint fingerprints, and full run statistics — to
 // a from-scratch all-pairs verification of a freshly built network holding
 // the same rules, at every worker count.
 func TestServiceDifferential(t *testing.T) {

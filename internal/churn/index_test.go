@@ -2,11 +2,13 @@ package churn
 
 // Index differential: the service's dependency index, built from each
 // source's distinct-port footprint, must hold exactly the sets that folding
-// every path's materialized History() produces — the oracle below — after
-// Init, after every delta of a stream and its undo, and in runner mode.
+// every path's materialized History() from a from-scratch run produces —
+// the oracle below — after Init, after every delta of a stream and its
+// undo, and over a TCP fleet as well as the local pool.
 
 import (
 	"fmt"
+	"net"
 	"reflect"
 	"runtime"
 	"sync"
@@ -16,6 +18,7 @@ import (
 	"symnet/internal/datasets"
 	"symnet/internal/dist"
 	"symnet/internal/models"
+	"symnet/internal/sched"
 	"symnet/internal/sefl"
 	"symnet/internal/tables"
 )
@@ -58,23 +61,41 @@ func foldHistories(res *core.Result) historyDeps {
 	return d
 }
 
-// historyOracle folds histories per result. Results are immutable and an
-// unchanged source keeps its *core.Result across versions, so the fold is
-// memoized by pointer.
-type historyOracle map[*core.Result]historyDeps
+// historyOracle is the index's reference: it re-runs sources from scratch
+// with sched.RunBatch on the service's current network and folds every
+// path's materialized History(), sharing no code with the trail node table
+// the service indexes from. Published summaries are immutable and an
+// unchanged source keeps its summary across versions, so folds are memoized
+// by summary pointer: each check re-runs only the sources the service
+// re-verified since the last one.
+type historyOracle map[*dist.Summary]historyDeps
 
 // check compares svc's index with the oracle's per-port and per-element
-// source sets over results (one per source, in source order).
-func (o historyOracle) check(t *testing.T, label string, svc *Service, results []*core.Result) {
+// source sets at svc's current version.
+func (o historyOracle) check(t *testing.T, label string, svc *Service) {
 	t.Helper()
+	sums := svc.Report().Summaries
+	var stale []int
+	var jobs []sched.Job
+	opts := svc.cfg.Opts
+	opts.SatMemo = nil
+	for i, sum := range sums {
+		if _, ok := o[sum]; !ok {
+			src := svc.cfg.Sources[i]
+			stale = append(stale, i)
+			jobs = append(jobs, sched.Job{Name: src.String(), Inject: src, Packet: svc.cfg.Packet, Opts: opts})
+		}
+	}
+	for k, jr := range sched.RunBatch(svc.cfg.Net, jobs, 0) {
+		if jr.Err != nil {
+			t.Fatalf("%s: from-scratch run of %s: %v", label, jr.Name, jr.Err)
+		}
+		o[sums[stale[k]]] = foldHistories(jr.Result)
+	}
 	wantPorts := make(map[core.PortRef][]int)
 	wantElems := make(map[string][]int)
-	for i, res := range results {
-		d, ok := o[res]
-		if !ok {
-			d = foldHistories(res)
-			o[res] = d
-		}
+	for i, sum := range sums {
+		d := o[sum]
 		for pr := range d.ports {
 			wantPorts[pr] = append(wantPorts[pr], i)
 		}
@@ -178,7 +199,7 @@ func TestIndexMatchesHistoryOracleDepartment(t *testing.T) {
 		t.Fatal(err)
 	}
 	oracle := make(historyOracle)
-	oracle.check(t, "init", svc, svc.Report().Results)
+	oracle.check(t, "init", svc)
 
 	// Seed 179 deletes asw1's ASA entry first, which empties its uplink
 	// port: the model rebuilds and asw1's source footprint collapses to the
@@ -200,7 +221,7 @@ func TestIndexMatchesHistoryOracleDepartment(t *testing.T) {
 		if err != nil {
 			t.Fatalf("delta %d (%s): %v", k, delta, err)
 		}
-		oracle.check(t, fmt.Sprintf("delta %d (%s, %s, %d dirty)", k, delta, res.Action, res.DirtySources), svc, svc.Report().Results)
+		oracle.check(t, fmt.Sprintf("delta %d (%s, %s, %d dirty)", k, delta, res.Action, res.DirtySources), svc)
 		if k == 0 && (res.Action != ActionRebuilt || len(svc.footprint[src]) >= full) {
 			t.Fatalf("ASA delete: action %s, footprint %d ports (was %d); want a rebuild that shrinks it", res.Action, len(svc.footprint[src]), full)
 		}
@@ -213,21 +234,26 @@ func TestIndexMatchesHistoryOracleDepartment(t *testing.T) {
 	}
 }
 
-// summaryRunner carries verification through dist summaries in process, so
-// the service indexes from the summarized histories (runner mode).
-type summaryRunner struct{}
-
-func (summaryRunner) RunBatch(net *core.Network, jobs []dist.Job) []dist.JobResult {
-	return dist.RunBatch(net, jobs, 0, 2)
-}
-func (summaryRunner) Refresh(...core.PortRef) {}
-func (summaryRunner) Invalidate()             {}
-func (summaryRunner) Close() error            { return nil }
-
-// TestIndexMatchesHistoryOracleRunner pins runner mode on the quick star
-// network: the index built from dist summaries equals the oracle's fold of
-// an in-process twin's live histories, delta for delta.
+// TestIndexMatchesHistoryOracleRunner pins the index built from summaries
+// that crossed a TCP connection (a dist.Pool fleet) next to the default
+// local pool on the quick star network, delta for delta, both against the
+// from-scratch oracle.
 func TestIndexMatchesHistoryOracleRunner(t *testing.T) {
+	if testing.Short() {
+		t.Skip("opens TCP sessions")
+	}
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	go dist.ServeListener(ln)
+	pool, err := dist.NewPool(dist.Config{Workers: []string{ln.Addr().String()}, WorkersPerProc: 2, ShareSat: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer pool.Close()
+
 	asw, agg := starTables()
 	var sources []core.PortRef
 	var targets []string
@@ -236,7 +262,7 @@ func TestIndexMatchesHistoryOracleRunner(t *testing.T) {
 		targets = append(targets, fmt.Sprintf("hsink%d", k))
 	}
 	targets = append(targets, "up")
-	mk := func(runner BatchRunner) *Service {
+	mk := func(runner *dist.Pool) *Service {
 		svc := NewService(Config{
 			Net:     buildStarNet(t, asw, agg),
 			Sources: sources,
@@ -257,9 +283,10 @@ func TestIndexMatchesHistoryOracleRunner(t *testing.T) {
 		}
 		return svc
 	}
-	remote, local := mk(summaryRunner{}), mk(nil)
+	remote, local := mk(pool), mk(nil)
 	oracle := make(historyOracle)
-	oracle.check(t, "init", remote, local.Report().Results)
+	oracle.check(t, "init: fleet", remote)
+	oracle.check(t, "init: local", local)
 
 	ds, err := GenMACDeltas("asw1", asw["asw1"], 6, 3)
 	if err != nil {
@@ -272,6 +299,7 @@ func TestIndexMatchesHistoryOracleRunner(t *testing.T) {
 				t.Fatalf("delta %d (%s): %v", k, delta, err)
 			}
 		}
-		oracle.check(t, fmt.Sprintf("delta %d (%s)", k, delta), remote, local.Report().Results)
+		oracle.check(t, fmt.Sprintf("delta %d (%s): fleet", k, delta), remote)
+		oracle.check(t, fmt.Sprintf("delta %d (%s): local", k, delta), local)
 	}
 }

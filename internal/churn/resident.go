@@ -142,7 +142,7 @@ func (r *Resident) Start() error {
 }
 
 // Close stops the absorber after the current pass, closes watch
-// subscriptions, and closes the service's Runner when one is configured.
+// subscriptions, and closes the service's Runner.
 // Queued submissions are failed.
 func (r *Resident) Close() {
 	r.closeOnce.Do(func() { close(r.done) })
@@ -151,9 +151,7 @@ func (r *Resident) Close() {
 	// everything, if Start was never called).
 	r.failPending()
 	r.svc.hub.close()
-	if run := r.svc.cfg.Runner; run != nil {
-		run.Close()
-	}
+	r.svc.cfg.Runner.Close()
 }
 
 // Apply enqueues deltas for absorption and blocks until their pass commits

@@ -12,30 +12,11 @@ import (
 	"symnet/internal/expr"
 	"symnet/internal/obs"
 	"symnet/internal/prog"
-	"symnet/internal/sched"
 	"symnet/internal/sefl"
 	"symnet/internal/solver"
 	"symnet/internal/tables"
 	"symnet/internal/verify"
 )
-
-// BatchRunner abstracts the verification engine a service re-verifies dirty
-// sources through. dist.Pool implements it: a persistent worker fleet that
-// keeps the compiled network installed across batches, absorbing guard churn
-// as program deltas (Refresh) or a full re-ship (Invalidate) instead of
-// re-encoding everything per pass. The in-process scheduler is the nil-Runner
-// default.
-type BatchRunner interface {
-	RunBatch(net *core.Network, jobs []dist.Job) []dist.JobResult
-	// Refresh marks the named port programs changed since the last batch, so
-	// the next RunBatch ships workers just those programs.
-	Refresh(refs ...core.PortRef)
-	// Invalidate marks everything changed (model rebuilds, restores); the
-	// next RunBatch ships workers a full setup.
-	Invalidate()
-	// Close dismisses the runner's workers; Resident.Close calls it.
-	Close() error
-}
 
 // Config describes the resident verification workload: the network, the
 // all-pairs query (sources, packet, targets) and run options.
@@ -44,20 +25,23 @@ type Config struct {
 	Sources []core.PortRef
 	Targets []string
 	Packet  sefl.Instr
-	// Opts configures every verification pass. Opts.Workers bounds the
-	// in-process batch pool (<= 0: GOMAXPROCS); it is ignored when Runner is
-	// set (the runner owns its parallelism).
+	// Opts configures every verification pass. Opts.Workers sizes the
+	// default local pool (<= 0: GOMAXPROCS); a configured Runner owns its
+	// own parallelism.
 	Opts core.Options
-	// Runner, when set, carries every verification pass — the initial
-	// all-pairs run and each re-verification — through a distributed batch
-	// runner (typically a dist.Pool spanning worker processes or machines)
-	// instead of the in-process scheduler. The service keeps the fleet's
-	// installed IR current: each absorbed batch Refreshes the patched or
-	// recompiled ports and Invalidates on model rebuilds and restores.
-	// Published observables (reachability, path counts, transitions) are
-	// byte-identical either way; report Results entries are nil in runner
-	// mode, since live paths stay in the workers (summaries cross the wire).
-	Runner BatchRunner
+	// Runner carries every verification pass — the initial all-pairs run
+	// and each re-verification. A pool with workers spans processes or
+	// machines and keeps the compiled network installed across batches: the
+	// service Refreshes the ports each absorbed batch patched or recompiled
+	// (shipped as program deltas) and Invalidates on model rebuilds and
+	// restores (a full re-ship). Nil means a local pool,
+	// dist.NewPool(dist.Config{WorkersPerProc: Opts.Workers, Obs: Opts.Obs}),
+	// which runs the in-process scheduler and summarizes; its Refresh and
+	// Invalidate are no-ops. Reports carry per-source dist summaries
+	// (Summaries) and nil Results either way; published observables
+	// (reachability, path counts, transitions) do not depend on the runner.
+	// Resident.Close closes it.
+	Runner *dist.Pool
 	// Reg receives the churn.* instruments and the shared SatCache's
 	// counters; nil allocates a private registry (see Service.Registry).
 	Reg *obs.Registry
@@ -125,8 +109,8 @@ type Service struct {
 	// pendingRefresh collects the output ports whose guards the current
 	// commit patched or recompiled; pendingInvalidate is set by the rebuild
 	// tier. Both flush to the Runner (Refresh/Invalidate) before the commit's
-	// re-verification pass, keeping the fleet's installed IR in lockstep with
-	// the resident model. Unused when Runner is nil.
+	// re-verification pass, keeping a fleet's installed IR in lockstep with
+	// the resident model.
 	pendingRefresh    []core.PortRef
 	pendingInvalidate bool
 
@@ -157,6 +141,10 @@ func NewService(cfg Config) *Service {
 	memo.EnableTracking()
 	memo.RegisterMetrics(reg)
 	cfg.Opts.SatMemo = memo
+	if cfg.Runner == nil {
+		// A pool without workers never fails to build.
+		cfg.Runner, _ = dist.NewPool(dist.Config{WorkersPerProc: cfg.Opts.Workers, Obs: cfg.Opts.Obs})
+	}
 	s := &Service{
 		cfg:             cfg,
 		memo:            memo,
@@ -164,6 +152,9 @@ func NewService(cfg Config) *Service {
 		routers:         make(map[string]tables.FIB),
 		switches:        make(map[string]tables.MACTable),
 		hub:             newHub(reg),
+		visited:         make(map[core.PortRef]srcSet),
+		visitedElem:     make(map[string]srcSet),
+		footprint:       make([][]core.PortRef, len(cfg.Sources)),
 		exploreNs:       reg.Histogram("churn.phase.explore_ns"),
 		indexNs:         reg.Histogram("churn.phase.index_ns"),
 		deltaNs:         reg.Histogram("churn.delta_ns"),
@@ -179,7 +170,6 @@ func NewService(cfg Config) *Service {
 		recompiledPorts: reg.Counter("churn.ports.recompiled"),
 		rebuiltElems:    reg.Counter("churn.elems.rebuilt"),
 	}
-	s.resetIndex()
 	return s
 }
 
@@ -218,8 +208,8 @@ func (s *Service) CurrentMACTable(elem string) (tables.MACTable, bool) {
 	return append(tables.MACTable(nil), t...), ok
 }
 
-// Init runs the full all-pairs verification (through the Runner when one is
-// configured), builds the dependency index, and publishes report version 1.
+// Init runs the full all-pairs verification through the Runner, builds the
+// dependency index, and publishes report version 1.
 func (s *Service) Init() error {
 	rep, err := s.runFull()
 	if err != nil {
@@ -231,54 +221,46 @@ func (s *Service) Init() error {
 	return nil
 }
 
-// runFull computes the full all-pairs report through the configured engine
-// and rebuilds the dependency index. In runner mode the report is assembled
-// from worker summaries (Results entries stay nil; reachability, path counts
-// and the index come from the summarized histories, which the dist property
-// tests pin byte-identical to in-process runs). The two phases land in
-// churn.phase.explore_ns and churn.phase.index_ns.
+// runFull computes the full all-pairs report from scratch and re-indexes
+// every source (each one's old entries are dropped first, so the index is
+// left untouched when a job fails).
 func (s *Service) runFull() (*verify.AllPairsReport, error) {
+	rep := verify.NewSummaryReport(s.cfg.Sources, s.cfg.Targets)
+	all := make([]int, len(s.cfg.Sources))
+	for i := range all {
+		all[i] = i
+	}
+	if err := s.verifySources(rep, all, "verify"); err != nil {
+		return nil, err
+	}
+	return rep, nil
+}
+
+// verifySources runs the given sources through the Runner, installs each
+// one's summary and rows in rep, and re-indexes them. The two phases land in
+// churn.phase.explore_ns (running and summarizing) and churn.phase.index_ns.
+func (s *Service) verifySources(rep *verify.AllPairsReport, idx []int, verb string) error {
+	jobs := make([]dist.Job, len(idx))
+	for k, i := range idx {
+		src := s.cfg.Sources[i]
+		jobs[k] = dist.Job{Name: src.String(), Inject: src, Packet: s.cfg.Packet, Opts: s.cfg.Opts}
+	}
 	explore := s.exploreNs.Start()
-	if s.cfg.Runner == nil {
-		rep, err := verify.AllPairsReachability(s.cfg.Net, s.cfg.Sources, s.cfg.Packet, s.cfg.Targets, s.cfg.Opts, s.cfg.Opts.Workers)
-		if err != nil {
-			return nil, err
-		}
-		explore.Stop()
-		s.resetIndex()
-		index := s.indexNs.Start()
-		for i, res := range rep.Results {
-			s.index(i, res.VisitedPorts())
-		}
-		index.Stop()
-		return rep, nil
-	}
-	jobs := make([]dist.Job, len(s.cfg.Sources))
-	for i, src := range s.cfg.Sources {
-		jobs[i] = dist.Job{Name: src.String(), Inject: src, Packet: s.cfg.Packet, Opts: s.cfg.Opts}
-	}
 	results := s.cfg.Runner.RunBatch(s.cfg.Net, jobs)
 	explore.Stop()
-	rep := &verify.AllPairsReport{
-		Sources:   s.cfg.Sources,
-		Targets:   s.cfg.Targets,
-		Reachable: make([][]bool, len(s.cfg.Sources)),
-		PathCount: make([][]int, len(s.cfg.Sources)),
-		Results:   make([]*core.Result, len(s.cfg.Sources)),
-	}
-	for i, jr := range results {
+	for k, i := range idx {
+		jr := results[k]
 		if jr.Err != nil {
-			return nil, fmt.Errorf("churn: verify source %s: %w", jr.Name, jr.Err)
+			return fmt.Errorf("churn: %s source %s: %w", verb, jr.Name, jr.Err)
 		}
-		s.spliceSummary(rep, i, jr.Summary)
+		rep.SetSummary(i, jr.Summary)
 	}
-	s.resetIndex()
 	index := s.indexNs.Start()
-	for i, jr := range results {
-		s.index(i, jr.Summary.VisitedPorts())
+	for k, i := range idx {
+		s.index(i, results[k].Summary.VisitedPorts())
 	}
 	index.Stop()
-	return rep, nil
+	return nil
 }
 
 // Apply absorbs one rule delta: update the authoritative table, patch or
@@ -364,11 +346,9 @@ func (s *Service) evictPortTables(e *core.Element, port int) int {
 }
 
 // noteRefresh records a reconciled output port for the pre-reverify Runner
-// flush (no-op without a Runner).
+// flush.
 func (s *Service) noteRefresh(ref core.PortRef) {
-	if s.cfg.Runner != nil {
-		s.pendingRefresh = append(s.pendingRefresh, ref)
-	}
+	s.pendingRefresh = append(s.pendingRefresh, ref)
 }
 
 // flushRunner ships the commit's accumulated guard churn to the Runner —
@@ -378,9 +358,6 @@ func (s *Service) noteRefresh(ref core.PortRef) {
 // dirty set is empty: a guard no current path attempts is still stale on the
 // workers and must not survive into a later batch.
 func (s *Service) flushRunner() {
-	if s.cfg.Runner == nil {
-		return
-	}
 	if s.pendingInvalidate {
 		s.cfg.Runner.Invalidate()
 	} else if len(s.pendingRefresh) > 0 {
@@ -407,77 +384,14 @@ func (s *Service) reverify(dirty map[int]bool, res *BatchResult) error {
 		idx = append(idx, i)
 	}
 	sort.Ints(idx)
-	jobs := make([]sched.Job, len(idx))
-	for k, i := range idx {
-		src := s.cfg.Sources[i]
-		jobs[k] = sched.Job{Name: src.String(), Inject: src, Packet: s.cfg.Packet, Opts: s.cfg.Opts}
-	}
 	next := s.report.CloneShallow()
-	// footprint(k) walks source idx[k]'s re-verified paths for its ports.
-	var footprint func(k int) []core.PortRef
-	explore := s.exploreNs.Start()
-	if s.cfg.Runner != nil {
-		results := s.cfg.Runner.RunBatch(s.cfg.Net, jobs)
-		explore.Stop()
-		for k, i := range idx {
-			jr := results[k]
-			if jr.Err != nil {
-				return fmt.Errorf("churn: re-verify source %s: %w", jr.Name, jr.Err)
-			}
-			s.spliceSummary(next, i, jr.Summary)
-		}
-		footprint = func(k int) []core.PortRef { return results[k].Summary.VisitedPorts() }
-	} else {
-		results := sched.RunBatch(s.cfg.Net, jobs, s.cfg.Opts.Workers)
-		explore.Stop()
-		for k, i := range idx {
-			jr := results[k]
-			if jr.Err != nil {
-				return fmt.Errorf("churn: re-verify source %s: %w", jr.Name, jr.Err)
-			}
-			s.spliceSource(next, i, jr.Result)
-		}
-		footprint = func(k int) []core.PortRef { return results[k].Result.VisitedPorts() }
+	if err := s.verifySources(next, idx, "re-verify"); err != nil {
+		return err
 	}
-	index := s.indexNs.Start()
-	for k, i := range idx {
-		s.index(i, footprint(k))
-	}
-	index.Stop()
 	s.report = next
 	res.CellsReverified = len(idx) * len(s.cfg.Targets)
 	s.cellsReverified.Add(int64(res.CellsReverified))
 	return nil
-}
-
-// spliceSource replaces one source's row in the given report clone.
-func (s *Service) spliceSource(rep *verify.AllPairsReport, i int, res *core.Result) {
-	rep.Results[i] = res
-	row := make([]bool, len(s.cfg.Targets))
-	cnt := make([]int, len(s.cfg.Targets))
-	for t, target := range s.cfg.Targets {
-		paths := res.DeliveredAt(target, -1)
-		row[t] = len(paths) > 0
-		cnt[t] = len(paths)
-	}
-	rep.Reachable[i] = row
-	rep.PathCount[i] = cnt
-}
-
-// spliceSummary is spliceSource for runner mode: the source's row comes from
-// the worker summary, and the live-result slot goes nil (the paths stayed in
-// the worker).
-func (s *Service) spliceSummary(rep *verify.AllPairsReport, i int, sum *dist.Summary) {
-	rep.Results[i] = nil
-	row := make([]bool, len(s.cfg.Targets))
-	cnt := make([]int, len(s.cfg.Targets))
-	for t, target := range s.cfg.Targets {
-		n := sum.DeliveredAt(target, -1)
-		row[t] = n > 0
-		cnt[t] = n
-	}
-	rep.Reachable[i] = row
-	rep.PathCount[i] = cnt
 }
 
 // srcSet is a set of source indices, one bit each.
@@ -506,16 +420,9 @@ func addSource[K comparable](m map[K]srcSet, key K, i, n int) {
 	b[i>>6] |= 1 << (i & 63)
 }
 
-// resetIndex empties the dependency index ahead of a full re-index.
-func (s *Service) resetIndex() {
-	s.visited = make(map[core.PortRef]srcSet)
-	s.visitedElem = make(map[string]srcSet)
-	s.footprint = make([][]core.PortRef, len(s.cfg.Sources))
-}
-
 // index replaces source i's dependency-index entries with ports, the
-// distinct ports its paths visited (Result.VisitedPorts in process,
-// Summary.VisitedPorts in runner mode). Every path counts, whatever its
+// distinct ports its paths visited (Summary.VisitedPorts, one pass over the
+// source's trail node table). Every path counts, whatever its
 // status: the engine pushes the output-port visit before executing the
 // guard, so failed paths carry the port whose guard killed them — exactly
 // the dependency that matters. The cost is the footprint's size, not the

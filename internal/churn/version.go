@@ -15,9 +15,11 @@ type PublishedReport struct {
 	Version uint64
 	// DeltasApplied counts the rule deltas absorbed into this version.
 	DeltasApplied uint64
-	// Report is the immutable all-pairs snapshot. Byte-identity to a
-	// from-scratch verification of the rule set at this version is the
-	// pinned invariant (see the differential tests).
+	// Report is the immutable all-pairs snapshot: the matrices plus each
+	// source's dist summary (Summaries; Results is nil, since every pass
+	// runs through the Runner's summaries). Byte-identity to a from-scratch
+	// verification of the rule set at this version is the pinned invariant
+	// (see the differential tests).
 	Report *verify.AllPairsReport
 }
 

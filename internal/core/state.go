@@ -171,9 +171,9 @@ type Path struct {
 // History returns the port-visit history, oldest first. The slice is built
 // per call (callers that iterate repeatedly should hold on to it); Last and
 // HistoryLen answer the common questions without materializing. Callers
-// that only need the set of ports a run touched should use
-// Result.VisitedPorts, which never materializes a history; the churn
-// dependency index uses it and does not call History.
+// that need every path's ports should use Result.Trail, which shares
+// prefixes instead of materializing each history; dist summaries and the
+// churn dependency index are built from it.
 func (p *Path) History() []PortRef { return p.hist.slice() }
 
 // HistoryLen returns the number of port visits in O(1).
@@ -235,36 +235,58 @@ func (r *Result) DeliveredAt(elem string, port int) []*Path {
 	return out
 }
 
-// VisitedPorts returns each distinct port any of the result's paths visited,
-// once, in walk order. Sibling paths share their history trail up to the
-// fork point, so the walk follows each path's trail newest-first and stops at
-// the first node it has already walked: every ancestor of a walked node has
-// been walked too. The cost is one step per distinct trail node plus one per
-// path, however long the materialized histories would be.
-func (r *Result) VisitedPorts() []PortRef {
-	ports, _ := r.walkPorts()
-	return ports
+// TrailNode is one distinct node of a result's shared port-visit trail: the
+// port visited and the index of the node before it (-1 for a path's first
+// visit). Result.Trail numbers nodes ancestors first, so Prev < the node's
+// own index.
+type TrailNode struct {
+	Port PortRef
+	Prev int32
 }
 
-// walkPorts is VisitedPorts, also returning the number of trail nodes the
-// walk stepped on.
-func (r *Result) walkPorts() (ports []PortRef, steps int) {
-	walked := make(map[*trail[PortRef]]struct{})
-	seen := make(map[PortRef]struct{})
-	for _, p := range r.Paths {
+// Trail flattens the result's shared port-visit trail into a node table and
+// returns it with each path's tail: the index of its newest node, -1 for a
+// path with no history. Sibling paths share their trail up to the fork
+// point, so the walk follows each path newest-first and stops at the first
+// node it has already numbered: every ancestor of a numbered node is
+// numbered too. The cost is one step per distinct node plus one per path,
+// however long the materialized histories would be.
+func (r *Result) Trail() (nodes []TrailNode, tails []int32) {
+	nodes, tails, _ = r.walkTrail()
+	return nodes, tails
+}
+
+// walkTrail is Trail, also returning the number of trail nodes the walk
+// stepped on.
+func (r *Result) walkTrail() (nodes []TrailNode, tails []int32, steps int) {
+	// A fork's new path adds two or three distinct nodes (the output port,
+	// the next input port, perhaps its output) before it ends or forks
+	// again, so sizing for three per path avoids regrowing the table.
+	index := make(map[*trail[PortRef]]int32, 3*len(r.Paths))
+	nodes = make([]TrailNode, 0, 3*len(r.Paths))
+	tails = make([]int32, len(r.Paths))
+	var fresh []*trail[PortRef]
+	for i, p := range r.Paths {
+		fresh = fresh[:0]
+		prev := int32(-1)
 		for t := p.hist; t != nil; t = t.prev {
 			steps++
-			if _, ok := walked[t]; ok {
+			if k, ok := index[t]; ok {
+				prev = k
 				break
 			}
-			walked[t] = struct{}{}
-			if _, ok := seen[t.v]; !ok {
-				seen[t.v] = struct{}{}
-				ports = append(ports, t.v)
-			}
+			fresh = append(fresh, t)
 		}
+		// Number the path's new nodes oldest first, each after its parent.
+		for j := len(fresh) - 1; j >= 0; j-- {
+			k := int32(len(nodes))
+			nodes = append(nodes, TrailNode{Port: fresh[j].v, Prev: prev})
+			index[fresh[j]] = k
+			prev = k
+		}
+		tails[i] = prev
 	}
-	return ports, steps
+	return nodes, tails, steps
 }
 
 // ByStatus returns all paths with the given status.

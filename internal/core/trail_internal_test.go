@@ -39,12 +39,12 @@ func forkGrid(t *testing.T, depth, fan int) *Network {
 	return net
 }
 
-// TestVisitedPortsWalksSharedTrail pins Result.VisitedPorts against the
-// materialized histories: each port reported once, the reported set equal to
-// the union of History() over all paths, a history-less path harmless, and
-// the walk bounded by the run's trail nodes rather than the histories' total
-// length.
-func TestVisitedPortsWalksSharedTrail(t *testing.T) {
+// TestTrailWalksSharedTrail pins Result.Trail against the live trails and
+// the materialized histories: each distinct trail node numbered once, every
+// Prev pointing at an earlier node, every path's history rebuilt exactly
+// from its tail, a history-less path harmless, and the walk bounded by the
+// run's trail nodes plus its paths rather than the histories' total length.
+func TestTrailWalksSharedTrail(t *testing.T) {
 	res, err := Run(forkGrid(t, 6, 3), PortRef{Elem: "f0", Port: 0}, sefl.NewIPPacket(), Options{})
 	if err != nil {
 		t.Fatal(err)
@@ -54,34 +54,41 @@ func TestVisitedPortsWalksSharedTrail(t *testing.T) {
 			len(res.Paths), len(res.ByStatus(Failed)))
 	}
 
-	want := make(map[PortRef]bool)
 	histTotal := 0
 	trailNodes := make(map[*trail[PortRef]]bool)
 	for _, p := range res.Paths {
-		for _, pr := range p.History() {
-			want[pr] = true
-		}
 		histTotal += p.HistoryLen()
 		for n := p.hist; n != nil; n = n.prev {
 			trailNodes[n] = true
 		}
 	}
 
-	ports, steps := res.walkPorts()
-	t.Logf("%d paths, %d ports, %d trail nodes, %d walk steps, %d history entries", len(res.Paths), len(ports), len(trailNodes), steps, histTotal)
-	got := make(map[PortRef]bool)
-	for _, pr := range ports {
-		if got[pr] {
-			t.Fatalf("port %v reported twice", pr)
+	nodes, tails, steps := res.walkTrail()
+	t.Logf("%d paths, %d trail nodes, %d numbered, %d walk steps, %d history entries", len(res.Paths), len(trailNodes), len(nodes), steps, histTotal)
+	if len(nodes) != len(trailNodes) {
+		t.Fatalf("numbered %d nodes, the paths share %d distinct trail nodes", len(nodes), len(trailNodes))
+	}
+	for k, n := range nodes {
+		if n.Prev < -1 || n.Prev >= int32(k) {
+			t.Fatalf("node %d has prev %d: ancestors must come first", k, n.Prev)
 		}
-		got[pr] = true
 	}
-	if len(got) != len(want) {
-		t.Fatalf("reported %d ports, histories hold %d", len(got), len(want))
+	if len(tails) != len(res.Paths) {
+		t.Fatalf("%d tails for %d paths", len(tails), len(res.Paths))
 	}
-	for pr := range want {
-		if !got[pr] {
-			t.Fatalf("port %v is in a history but was not reported", pr)
+	for i, p := range res.Paths {
+		var rev []PortRef
+		for k := tails[i]; k >= 0; k = nodes[k].Prev {
+			rev = append(rev, nodes[k].Port)
+		}
+		want := p.History()
+		if len(rev) != len(want) {
+			t.Fatalf("path %d: trail holds %d visits, history %d", i, len(rev), len(want))
+		}
+		for j := range want {
+			if rev[len(rev)-1-j] != want[j] {
+				t.Fatalf("path %d visit %d: trail %v, history %v", i, j, rev[len(rev)-1-j], want[j])
+			}
 		}
 	}
 
@@ -91,21 +98,22 @@ func TestVisitedPortsWalksSharedTrail(t *testing.T) {
 		t.Fatalf("paths share %d trail nodes, run pushed at most %d", len(trailNodes), pushes)
 	}
 	// Each path's walk ends at most one step past its new nodes.
-	if steps > len(trailNodes)+len(res.Paths) {
-		t.Fatalf("walk took %d steps over %d trail nodes and %d paths", steps, len(trailNodes), len(res.Paths))
+	if steps > len(nodes)+len(res.Paths) {
+		t.Fatalf("walk took %d steps over %d trail nodes and %d paths", steps, len(nodes), len(res.Paths))
 	}
 	if 3*steps > histTotal {
 		t.Fatalf("walk took %d steps against %d history entries: it is not sharing prefixes", steps, histTotal)
 	}
 
-	// A path with no history contributes nothing.
+	// A path with no history contributes nothing and gets tail -1.
 	res.Paths = append(res.Paths, &Path{ID: len(res.Paths), Status: Failed})
-	again, againSteps := res.walkPorts()
-	if len(again) != len(ports) || againSteps != steps {
-		t.Fatalf("history-less path changed the walk: %d ports/%d steps, want %d/%d", len(again), againSteps, len(ports), steps)
+	again, againTails, againSteps := res.walkTrail()
+	if len(again) != len(nodes) || againSteps != steps || againTails[len(againTails)-1] != -1 {
+		t.Fatalf("history-less path changed the walk: %d nodes/%d steps/tail %d, want %d/%d/-1",
+			len(again), againSteps, againTails[len(againTails)-1], len(nodes), steps)
 	}
 	empty := &Result{Paths: []*Path{{ID: 0}}}
-	if got := empty.VisitedPorts(); len(got) != 0 {
-		t.Fatalf("history-less result reported ports %v", got)
+	if n, tl := empty.Trail(); len(n) != 0 || len(tl) != 1 || tl[0] != -1 {
+		t.Fatalf("history-less result: nodes %v, tails %v", n, tl)
 	}
 }

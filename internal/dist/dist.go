@@ -13,11 +13,17 @@
 // Stanford-backbone and fork-heavy datasets.
 //
 // Results cross the process boundary as Summaries: per-path status, failure
-// message, port history, trace, and the solver context's chained structural
-// fingerprint (a 128-bit digest of the path's entire assertion sequence),
-// plus the full RunStats. Live solver contexts and packet memory stay in
-// the worker — follow-up queries that need them (field domains, concrete
-// packets) belong on the worker side or in in-process runs.
+// message, trace, the solver context's chained structural fingerprint (a
+// 128-bit digest of the path's entire assertion sequence) and the index of
+// the path's newest port visit, plus the result's shared port-visit trail as
+// a node table (each distinct node once; Summary.History rebuilds any one
+// path's history) and the full RunStats. The coordinator validates the
+// table's indexes before it uses a summary from a worker. Live solver
+// contexts and packet memory stay in the worker — follow-up queries that
+// need them (field domains, concrete packets) belong on the worker side or
+// in in-process runs. A Pool with no workers runs sched.RunBatch in process
+// and summarizes the same way; only it runs the reference engines
+// (Options.ASTInterp, Options.OrTreeGuards).
 //
 // Worker processes are fork/exec'd: cmd/symworker is the standalone worker
 // binary, and any binary that calls MaybeWorker() early in main (the
@@ -45,8 +51,9 @@ type PathSummary struct {
 	ID      int
 	Status  core.Status
 	FailMsg string
-	// Ports is the full port-visit history, oldest first.
-	Ports []core.PortRef
+	// Tail indexes the path's newest visit in its Summary's Trail (-1: the
+	// path visited no port); Summary.History rebuilds the full history.
+	Tail int32
 	// Trace holds executed instructions when Options.Trace was set.
 	Trace []string
 	// CtxFp is the solver context's chained structural fingerprint — a
@@ -60,6 +67,10 @@ type PathSummary struct {
 // Summary is the serializable face of one core.Result.
 type Summary struct {
 	Paths []PathSummary
+	// Trail is the result's shared port-visit trail as a node table
+	// (core.Result.Trail): each distinct node once, ancestors first, so
+	// paths that share a history prefix share its nodes.
+	Trail []core.TrailNode
 	Stats core.RunStats
 }
 
@@ -72,20 +83,41 @@ type JobResult struct {
 
 // SummaryOf reduces a Result to its wire summary. Distributed and
 // in-process runs of the same job summarize identically; the property tests
-// compare canonical encodings of these summaries.
+// compare canonical encodings of these summaries. It walks the shared trail
+// once and never materializes a path's history.
 func SummaryOf(res *core.Result) *Summary {
-	s := &Summary{Stats: res.Stats, Paths: make([]PathSummary, len(res.Paths))}
+	trail, tails := res.Trail()
+	s := &Summary{Stats: res.Stats, Trail: trail, Paths: make([]PathSummary, len(res.Paths))}
 	for i, p := range res.Paths {
 		s.Paths[i] = PathSummary{
 			ID:      p.ID,
 			Status:  p.Status,
 			FailMsg: p.FailMsg,
-			Ports:   p.History(),
+			Tail:    tails[i],
 			Trace:   p.Trace,
 			CtxFp:   p.Ctx.Fingerprint(),
 		}
 	}
 	return s
+}
+
+// History rebuilds path i's port-visit history, oldest first, from the
+// trail; like core.Path.History, an empty history is nil. The summary must
+// be valid (see Validate).
+func (s *Summary) History(i int) []core.PortRef {
+	n := 0
+	for k := s.Paths[i].Tail; k >= 0; k = s.Trail[k].Prev {
+		n++
+	}
+	if n == 0 {
+		return nil
+	}
+	out := make([]core.PortRef, n)
+	for k := s.Paths[i].Tail; k >= 0; k = s.Trail[k].Prev {
+		n--
+		out[n] = s.Trail[k].Port
+	}
+	return out
 }
 
 // DeliveredAt counts the paths that ended Delivered at the given element
@@ -94,10 +126,10 @@ func (s *Summary) DeliveredAt(elem string, port int) int {
 	n := 0
 	for i := range s.Paths {
 		p := &s.Paths[i]
-		if p.Status != core.Delivered || len(p.Ports) == 0 {
+		if p.Status != core.Delivered || p.Tail < 0 {
 			continue
 		}
-		last := p.Ports[len(p.Ports)-1]
+		last := s.Trail[p.Tail].Port
 		if last.Elem == elem && (port < 0 || last.Port == port) {
 			n++
 		}
@@ -106,21 +138,36 @@ func (s *Summary) DeliveredAt(elem string, port int) int {
 }
 
 // VisitedPorts returns each distinct port any summarized path visited, once,
-// mirroring core.Result.VisitedPorts as a set (the order may differ). The
-// wire carries every path's full history, so this pass is linear in their
-// total length.
+// in trail order. Every trail node lies on some path, so this is one pass
+// over the node table.
 func (s *Summary) VisitedPorts() []core.PortRef {
 	seen := make(map[core.PortRef]struct{})
 	var ports []core.PortRef
-	for i := range s.Paths {
-		for _, pr := range s.Paths[i].Ports {
-			if _, ok := seen[pr]; !ok {
-				seen[pr] = struct{}{}
-				ports = append(ports, pr)
-			}
+	for _, n := range s.Trail {
+		if _, ok := seen[n.Port]; !ok {
+			seen[n.Port] = struct{}{}
+			ports = append(ports, n.Port)
 		}
 	}
 	return ports
+}
+
+// Validate checks the trail indexes a summary from an untrusted peer carries:
+// every node's Prev points before the node, and every path's Tail into the
+// trail. A valid summary cannot send History or DeliveredAt out of bounds or
+// around a cycle.
+func (s *Summary) Validate() error {
+	for k, n := range s.Trail {
+		if n.Prev < -1 || int(n.Prev) >= k {
+			return fmt.Errorf("summary: trail node %d has prev %d, want in [-1, %d)", k, n.Prev, k)
+		}
+	}
+	for i, p := range s.Paths {
+		if p.Tail < -1 || int(p.Tail) >= len(s.Trail) {
+			return fmt.Errorf("summary: path %d has tail %d, want in [-1, %d)", i, p.Tail, len(s.Trail))
+		}
+	}
+	return nil
 }
 
 // Config tunes a distributed batch.
@@ -187,10 +234,6 @@ func RunBatchConfig(net *core.Network, jobs []Job, cfg Config) []JobResult {
 	if len(jobs) == 0 {
 		return out
 	}
-	if cfg.Procs <= 0 && len(cfg.Workers) == 0 {
-		runLocal(net, jobs, cfg.WorkersPerProc, cfg.Obs, out)
-		return out
-	}
 	if cfg.Procs > len(jobs) && len(cfg.Workers) == 0 {
 		// Never fork more processes than jobs for a one-shot batch (resident
 		// TCP workers cost nothing extra, so the fleet is used as given).
@@ -207,10 +250,19 @@ func RunBatchConfig(net *core.Network, jobs []Job, cfg Config) []JobResult {
 	return p.RunBatch(net, jobs)
 }
 
-// runLocal is the in-process reference path: sched.RunBatch, summarized.
+// runLocal is the in-process path: sched.RunBatch semantics, each job
+// summarized on its worker as it finishes (as a remote worker does), so a
+// live Result is garbage once its summary exists rather than held until the
+// whole batch is done. Per-job Options.Stats collectors are folded in after
+// the batch, as sched.RunBatchObs does.
 func runLocal(net *core.Network, jobs []Job, workers int, o *obs.Obs, out []JobResult) {
-	for i, jr := range sched.RunBatchObs(net, jobs, workers, o) {
+	sched.RunBatchStream(net, jobs, workers, nil, o, func(i int, jr sched.JobResult) {
 		out[i] = fromSched(jr)
+	})
+	for i, j := range jobs {
+		if j.Opts.Stats != nil && out[i].Summary != nil {
+			j.Opts.Stats.Add(out[i].Summary.Stats.Solver)
+		}
 	}
 }
 
@@ -246,6 +298,9 @@ func buildShard(jobs []Job, lo, hi int) ([]wireJob, error) {
 	out := make([]wireJob, 0, hi-lo)
 	for i := lo; i < hi; i++ {
 		j := jobs[i]
+		if j.Opts.ASTInterp || j.Opts.OrTreeGuards {
+			return nil, fmt.Errorf("dist: job %q: the ASTInterp and OrTreeGuards reference engines run in process only (sched, core, or dist without procs or workers)", j.Name)
+		}
 		pkt, err := sefl.EncodeInstr(j.Packet)
 		if err != nil {
 			return nil, fmt.Errorf("dist: job %q: %w", j.Name, err)

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"os"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -159,35 +160,91 @@ func canonicalNoCtx(t *testing.T, results []dist.JobResult) []byte {
 	return canonical(t, stripped)
 }
 
-// TestGuardModesDistByteIdentical is the distributed face of the
-// interval-table acceptance property: at procs 0 and 2, interval-table
-// execution matches the Or-tree reference on every observable, and each
-// mode is procs-count deterministic including its constraint fingerprints.
+// withOpts returns a copy of jobs with set applied to each job's options.
+func withOpts(jobs []dist.Job, set func(*core.Options)) []dist.Job {
+	out := make([]dist.Job, len(jobs))
+	for i, j := range jobs {
+		out[i] = j
+		set(&out[i].Opts)
+	}
+	return out
+}
+
+// TestGuardModesDistByteIdentical is the summarized face of the
+// interval-table acceptance property: in process (procs 0), interval-table
+// execution matches the Or-tree reference on every observable, and the
+// default mode is procs-count deterministic including its constraint
+// fingerprints. The reference engines run in process only: at procs 2 a
+// batch that sets OrTreeGuards or ASTInterp fails every job with a pointed
+// error.
 func TestGuardModesDistByteIdentical(t *testing.T) {
 	if testing.Short() {
 		t.Skip("spawns worker subprocesses")
 	}
 	for _, tc := range batchCases(t) {
 		t.Run(tc.name, func(t *testing.T) {
-			var wantObs []byte
-			for _, orTree := range []bool{true, false} {
-				jobs := make([]dist.Job, len(tc.jobs))
-				for i, j := range tc.jobs {
-					jobs[i] = j
-					jobs[i].Opts.OrTreeGuards = orTree
+			orTree := withOpts(tc.jobs, func(o *core.Options) { o.OrTreeGuards = true })
+			wantObs := canonicalNoCtx(t, dist.RunBatch(tc.net, orTree, 0, 2))
+			local := dist.RunBatch(tc.net, tc.jobs, 0, 2)
+			if got := canonicalNoCtx(t, local); string(got) != string(wantObs) {
+				t.Errorf("interval-table observables differ from Or-tree reference")
+			}
+			if got := canonical(t, dist.RunBatch(tc.net, tc.jobs, 2, 2)); string(got) != string(canonical(t, local)) {
+				t.Errorf("procs=2 differs from procs=0")
+			}
+			ast := withOpts(tc.jobs, func(o *core.Options) { o.ASTInterp = true })
+			want := fmt.Sprintf("dist: job %q: the ASTInterp and OrTreeGuards reference engines run in process only (sched, core, or dist without procs or workers)", tc.jobs[0].Name)
+			for _, jobs := range [][]dist.Job{orTree, ast} {
+				for i, jr := range dist.RunBatch(tc.net, jobs, 2, 2) {
+					if jr.Err == nil || jr.Err.Error() != want || jr.Summary != nil {
+						t.Fatalf("procs=2 reference-engine job %d: err = %v, want %q", i, jr.Err, want)
+					}
 				}
-				var wantFull []byte
-				for _, procs := range []int{0, 2} {
-					out := dist.RunBatch(tc.net, jobs, procs, 2)
-					if procs == 0 {
-						wantFull = canonical(t, out)
-						if orTree {
-							wantObs = canonicalNoCtx(t, out)
-						} else if got := canonicalNoCtx(t, out); string(got) != string(wantObs) {
-							t.Errorf("interval-table observables differ from Or-tree reference")
+			}
+		})
+	}
+}
+
+// TestSummaryTrailRoundTrip pins the trail node table on the three datasets
+// at procs 0 and 2: every path's Summary.History equals the in-process
+// Path.History, and the table holds as many nodes as the in-process walk
+// numbers (one per distinct trail node, which internal/core pins on the same
+// datasets), fewer than the materialized history entries.
+func TestSummaryTrailRoundTrip(t *testing.T) {
+	procsGrid := []int{0, 2}
+	if testing.Short() {
+		procsGrid = []int{0}
+	}
+	for _, tc := range batchCases(t) {
+		t.Run(tc.name, func(t *testing.T) {
+			live := sched.RunBatch(tc.net, tc.jobs, 1)
+			for _, procs := range procsGrid {
+				for k, jr := range dist.RunBatch(tc.net, tc.jobs, procs, 2) {
+					if jr.Err != nil {
+						t.Fatalf("procs=%d job %s: %v", procs, jr.Name, jr.Err)
+					}
+					res, sum := live[k].Result, jr.Summary
+					if err := sum.Validate(); err != nil {
+						t.Fatalf("procs=%d job %s: %v", procs, jr.Name, err)
+					}
+					if len(sum.Paths) != len(res.Paths) {
+						t.Fatalf("procs=%d job %s: %d summarized paths, %d live", procs, jr.Name, len(sum.Paths), len(res.Paths))
+					}
+					entries := 0
+					for i, p := range res.Paths {
+						want := p.History()
+						entries += len(want)
+						if got := sum.History(i); !reflect.DeepEqual(got, want) {
+							t.Fatalf("procs=%d job %s path %d: history\n got %v\nwant %v", procs, jr.Name, i, got, want)
 						}
-					} else if got := canonical(t, out); string(got) != string(wantFull) {
-						t.Errorf("ortree=%v: procs=%d differs from procs=0", orTree, procs)
+					}
+					nodes, _ := res.Trail()
+					if len(sum.Trail) != len(nodes) || len(sum.Trail) >= entries {
+						t.Fatalf("procs=%d job %s: %d trail nodes, %d distinct in process, %d history entries",
+							procs, jr.Name, len(sum.Trail), len(nodes), entries)
+					}
+					if k == 0 {
+						t.Logf("procs=%d job %s: %d paths, %d trail nodes, %d history entries", procs, jr.Name, len(sum.Paths), len(sum.Trail), entries)
 					}
 				}
 			}

@@ -279,8 +279,6 @@ type batchRun struct {
 	retries int
 	metrics bool
 
-	needAST bool
-
 	// Lazily built, shared across workers within the batch.
 	setupRaw []byte
 }
@@ -336,11 +334,6 @@ func (p *Pool) runBatch(network *core.Network, jobs []Job, out []JobResult) erro
 	}
 	for i := range br.holders {
 		br.holders[i] = make(map[int]bool, 1)
-	}
-	for _, j := range jobs {
-		if j.Opts.ASTInterp {
-			br.needAST = true
-		}
 	}
 	wire, err := buildShard(jobs, 0, n)
 	if err != nil {
@@ -500,9 +493,7 @@ func (p *Pool) sendBatch(w *poolWorker, br *batchRun) error {
 		ShareSat: p.cfg.ShareSat, Metrics: br.metrics,
 	}
 	mode := "full"
-	// ASTInterp jobs execute the port ASTs, which only the full setup
-	// carries — deltas ship compiled programs only.
-	if w.gen != 0 && !br.needAST {
+	if w.gen != 0 {
 		if refs, ok := p.refsSince(w.gen); ok {
 			if len(refs) == 0 {
 				mode = "reuse"
@@ -625,11 +616,7 @@ func (p *Pool) handleResult(w *poolWorker, br *batchRun, r *resultFrame) {
 	}
 	br.done[r.Index] = true
 	br.doneCount++
-	jr := JobResult{Name: r.Name, Summary: r.Summary}
-	if r.Err != "" {
-		jr.Err = fmt.Errorf("%s", r.Err)
-	}
-	br.out[r.Index] = jr
+	br.out[r.Index] = r.jobResult()
 	p.feed(br)
 }
 

@@ -27,6 +27,7 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/gob"
+	"fmt"
 	"io"
 	"sync"
 
@@ -77,8 +78,10 @@ const (
 )
 
 // protoVersion guards against mixed coordinator/worker builds across the
-// TCP boundary (stdio workers are always the same binary).
-const protoVersion = 2
+// TCP boundary (stdio workers are always the same binary). Version 3 ships
+// each result's port trail as a node table and drops the reference-engine
+// options.
+const protoVersion = 3
 
 // frame is the single message envelope; Kind selects the payload field.
 // frameEnd and frameBye are kind-only.
@@ -138,9 +141,8 @@ type batchFrame struct {
 
 // deltaFrame re-ships only what changed since the generation the worker
 // holds: the re-compiled programs of the touched ports. Port ASTs do not
-// ride deltas — workers execute installed compiled programs, so delta
-// batches are correct for every mode except ASTInterp, which resident pools
-// do not serve.
+// ride deltas — workers execute installed compiled programs, the only engine
+// a fleet runs.
 type deltaFrame struct {
 	Programs []core.WireProgramEntry
 }
@@ -202,28 +204,22 @@ type wireJob struct {
 // wireOptions is the serializable subset of core.Options. Stats collectors
 // and cache pointers are per-process and deliberately absent: each worker
 // runs its own, and per-job solver statistics come back inside the Summary
-// (deterministically — cache hits replay the original counters).
+// (deterministically — cache hits replay the original counters). The
+// reference engines (ASTInterp, OrTreeGuards) are test oracles that run in
+// process only; buildShard rejects jobs that set them.
 type wireOptions struct {
-	MaxHops      int
-	MaxPaths     int
-	Loop         core.LoopMode
-	Trace        bool
-	ASTInterp    bool
-	OrTreeGuards bool
+	MaxHops  int
+	MaxPaths int
+	Loop     core.LoopMode
+	Trace    bool
 }
 
 func toWireOptions(o core.Options) wireOptions {
-	return wireOptions{
-		MaxHops: o.MaxHops, MaxPaths: o.MaxPaths, Loop: o.Loop, Trace: o.Trace,
-		ASTInterp: o.ASTInterp, OrTreeGuards: o.OrTreeGuards,
-	}
+	return wireOptions{MaxHops: o.MaxHops, MaxPaths: o.MaxPaths, Loop: o.Loop, Trace: o.Trace}
 }
 
 func (w wireOptions) options() core.Options {
-	return core.Options{
-		MaxHops: w.MaxHops, MaxPaths: w.MaxPaths, Loop: w.Loop, Trace: w.Trace,
-		ASTInterp: w.ASTInterp, OrTreeGuards: w.OrTreeGuards,
-	}
+	return core.Options{MaxHops: w.MaxHops, MaxPaths: w.MaxPaths, Loop: w.Loop, Trace: w.Trace}
 }
 
 // resultFrame is one finished job.
@@ -232,6 +228,24 @@ type resultFrame struct {
 	Name    string
 	Err     string
 	Summary *Summary
+}
+
+// jobResult converts a result frame from a worker into the job's outcome.
+// The summary's trail indexes are validated first: a malformed summary fails
+// its own job and is never handed to callers.
+func (r *resultFrame) jobResult() JobResult {
+	jr := JobResult{Name: r.Name}
+	switch {
+	case r.Err != "":
+		jr.Err = fmt.Errorf("%s", r.Err)
+	case r.Summary != nil:
+		if err := r.Summary.Validate(); err != nil {
+			jr.Err = fmt.Errorf("dist: job %q: malformed %w", r.Name, err)
+		} else {
+			jr.Summary = r.Summary
+		}
+	}
+	return jr
 }
 
 // conn wraps one side of a frame stream: buffered gob encoding with a mutex

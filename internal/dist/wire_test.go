@@ -7,11 +7,13 @@ package dist
 import (
 	"bytes"
 	"encoding/json"
+	"net"
 	"strings"
 	"testing"
 
 	"symnet/internal/core"
 	"symnet/internal/sefl"
+	"symnet/internal/solver"
 )
 
 // testFleetNet is a two-sink egress switch: small enough to set up in every
@@ -65,12 +67,13 @@ func jsonEq(t *testing.T, a, b interface{}) bool {
 	return bytes.Equal(ja, jb)
 }
 
-// TestSessionFramesRoundTrip pushes every v2 session frame through a conn
-// pair and checks the decoded payloads field-for-field — including a real
-// delta (re-encoded programs of one port), the frame a reconnecting pool
-// depends on.
-func TestSessionFramesRoundTrip(t *testing.T) {
-	net, _ := testFleetNet()
+// sessionFrames returns one frame of every live kind, with real payloads:
+// a delta (re-encoded programs of one port, the frame a reconnecting pool
+// depends on), wire jobs, and a result whose summary carries a port trail.
+// The round-trip test and the frame-decoder fuzz seeds share them.
+func sessionFrames(t testing.TB) []*frame {
+	t.Helper()
+	net, jobs := testFleetNet()
 	progs, err := core.EncodeProgramsFor(net, []core.PortRef{{Elem: "SW", Port: 0, Out: true}})
 	if err != nil {
 		t.Fatal(err)
@@ -78,16 +81,46 @@ func TestSessionFramesRoundTrip(t *testing.T) {
 	if len(progs) != 1 {
 		t.Fatalf("expected 1 program entry for SW.out[0], got %d", len(progs))
 	}
-	frames := []*frame{
+	wire, err := buildShard(jobs, 0, len(jobs))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return []*frame{
 		{Kind: frameHello, Hello: &helloFrame{Proto: protoVersion, RunID: "run-42"}},
 		{Kind: frameHelloAck, HelloAck: &helloAckFrame{Proto: protoVersion, Gen: 7}},
 		{Kind: frameBatch, Batch: &batchFrame{Seq: 3, Gen: 8, Workers: 2, Shard: 1, ShareSat: true, Metrics: true, Delta: &deltaFrame{Programs: progs}}},
 		{Kind: frameBatch, Batch: &batchFrame{Seq: 4, Gen: 8, SetupRaw: []byte{1, 2, 3}}},
+		{Kind: frameJobs, Jobs: &jobsFrame{Jobs: wire}},
+		{Kind: frameResult, Result: &resultFrame{Index: 1, Name: "q1", Summary: testSummary(t)}},
+		{Kind: frameResult, Result: &resultFrame{Index: 0, Name: "q0", Err: "boom"}},
+		{Kind: frameVerdicts, Verdicts: []solver.SatRecord{{Key: solver.SatKey{N: 3}, V: solver.SatVerdict{Sat: true, Branches: 2}}}},
 		{Kind: frameCancel, Cancel: &cancelFrame{Indexes: []int{4, 9, 2}}},
 		{Kind: frameEnd},
 		{Kind: frameDone, Done: &doneFrame{Seq: 3}},
 		{Kind: frameBye},
 	}
+}
+
+// testSummary summarizes the fleet net's first job in process: two paths
+// over a five-node trail.
+func testSummary(t testing.TB) *Summary {
+	t.Helper()
+	net, jobs := testFleetNet()
+	res, err := core.Run(net, jobs[0].Inject, jobs[0].Packet, jobs[0].Opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := SummaryOf(res)
+	if len(s.Paths) != 2 || len(s.Trail) != 5 {
+		t.Fatalf("fixture summary has %d paths over %d trail nodes, want 2 over 5", len(s.Paths), len(s.Trail))
+	}
+	return s
+}
+
+// TestSessionFramesRoundTrip pushes every session frame through a conn pair
+// and checks the decoded payloads field-for-field.
+func TestSessionFramesRoundTrip(t *testing.T) {
+	frames := sessionFrames(t)
 	var buf bytes.Buffer
 	c := newConn(&buf, &buf)
 	for _, f := range frames {
@@ -128,7 +161,7 @@ func TestWorkerSessionHandshakeErrors(t *testing.T) {
 		{
 			name:   "version mismatch",
 			frames: []*frame{{Kind: frameHello, Hello: &helloFrame{Proto: 99, RunID: "r"}}},
-			want:   "protocol: coordinator speaks version 99, want 2",
+			want:   "protocol: coordinator speaks version 99, want 3",
 		},
 		{
 			name: "garbage stream",
@@ -299,5 +332,107 @@ func TestWorkerSessionServesBatches(t *testing.T) {
 				t.Fatalf("reply %d: done seq %d, want %d", i, f.Done.Seq, e.idx)
 			}
 		}
+	}
+}
+
+// TestMalformedSummaryFailsItsJob pins the coordinator's check on summaries
+// that crossed the wire: each corrupted trail index fails the job it came
+// with, naming the job and the bad index, and never reaches History or
+// DeliveredAt. A valid summary passes through untouched.
+func TestMalformedSummaryFailsItsJob(t *testing.T) {
+	cases := []struct {
+		name    string
+		corrupt func(*Summary)
+		want    string
+	}{
+		{"valid", func(*Summary) {}, ""},
+		{"prev not before its node", func(s *Summary) { s.Trail[1].Prev = 1 },
+			`dist: job "q1": malformed summary: trail node 1 has prev 1, want in [-1, 1)`},
+		{"prev past the trail", func(s *Summary) { s.Trail[3].Prev = 9 },
+			`dist: job "q1": malformed summary: trail node 3 has prev 9, want in [-1, 3)`},
+		{"prev below -1", func(s *Summary) { s.Trail[0].Prev = -2 },
+			`dist: job "q1": malformed summary: trail node 0 has prev -2, want in [-1, 0)`},
+		{"tail past the trail", func(s *Summary) { s.Paths[1].Tail = 5 },
+			`dist: job "q1": malformed summary: path 1 has tail 5, want in [-1, 5)`},
+		{"tail below -1", func(s *Summary) { s.Paths[0].Tail = -7 },
+			`dist: job "q1": malformed summary: path 0 has tail -7, want in [-1, 5)`},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			sum := testSummary(t)
+			tc.corrupt(sum)
+			in := encodeInput(t, []*frame{{Kind: frameResult, Result: &resultFrame{Index: 1, Name: "q1", Summary: sum}}}, nil)
+			f, err := newConn(in, in).recv()
+			if err != nil {
+				t.Fatal(err)
+			}
+			jr := f.Result.jobResult()
+			if tc.want == "" {
+				if jr.Err != nil || !jsonEq(t, jr.Summary, sum) {
+					t.Fatalf("valid summary rejected or altered: %+v", jr)
+				}
+				return
+			}
+			if jr.Err == nil || jr.Err.Error() != tc.want || jr.Summary != nil {
+				t.Fatalf("got %+v (err %v), want error %q and no summary", jr, jr.Err, tc.want)
+			}
+		})
+	}
+}
+
+// TestPoolFailsMalformedSummaryJob drives a pool against a hand-written TCP
+// worker that answers job q1 with a corrupted summary: q1 fails with the
+// validation error, and its sibling q0 still completes.
+func TestPoolFailsMalformedSummaryJob(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	good := testSummary(t)
+	go func() {
+		nc, err := ln.Accept()
+		if err != nil {
+			return
+		}
+		defer nc.Close()
+		c := newConn(nc, nc)
+		for {
+			f, err := c.recv()
+			if err != nil {
+				return
+			}
+			switch f.Kind {
+			case frameHello:
+				c.send(&frame{Kind: frameHelloAck, HelloAck: &helloAckFrame{Proto: protoVersion}})
+			case frameJobs:
+				for _, j := range f.Jobs.Jobs {
+					sum := *good
+					if j.Name == "q1" {
+						sum.Paths = append([]PathSummary(nil), good.Paths...)
+						sum.Paths[1].Tail = 99
+					}
+					c.send(&frame{Kind: frameResult, Result: &resultFrame{Index: j.Index, Name: j.Name, Summary: &sum}})
+				}
+			case frameEnd:
+				c.send(&frame{Kind: frameDone, Done: &doneFrame{Seq: 1}})
+			case frameBye:
+				return
+			}
+		}
+	}()
+	p, err := NewPool(Config{Workers: []string{ln.Addr().String()}, NoSteal: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer p.Close()
+	network, jobs := testFleetNet()
+	out := p.RunBatch(network, jobs)
+	if out[0].Err != nil || out[0].Summary == nil || out[0].Summary.DeliveredAt("H0", -1) != 1 {
+		t.Fatalf("sibling job: %+v", out[0])
+	}
+	want := `dist: job "q1": malformed summary: path 1 has tail 99, want in [-1, 5)`
+	if out[1].Err == nil || out[1].Err.Error() != want || out[1].Summary != nil {
+		t.Fatalf("corrupted job: %+v, want error %q", out[1], want)
 	}
 }

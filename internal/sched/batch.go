@@ -93,11 +93,18 @@ func RunBatchObs(net *core.Network, jobs []Job, workers int, o *obs.Obs) []JobRe
 // "job" span per job) and becomes each job's Options.Obs unless the job
 // brought its own; nil disables instrumentation.
 func RunBatchStream(net *core.Network, jobs []Job, workers int, memo *solver.SatCache, o *obs.Obs, done func(i int, jr JobResult)) {
-	if memo == nil {
-		memo = solver.NewSatCache()
-	}
-	if o != nil {
-		memo.RegisterMetrics(o.Reg)
+	// Build and report the batch cache only when a job uses it: a resident
+	// caller's registry would otherwise grow by one cache per batch.
+	for _, j := range jobs {
+		if j.Opts.SatMemo == nil {
+			if memo == nil {
+				memo = solver.NewSatCache()
+			}
+			if o != nil {
+				memo.RegisterMetrics(o.Reg)
+			}
+			break
+		}
 	}
 	NewPool(workers).MapObs(len(jobs), o, func(w, i int) {
 		j := jobs[i]

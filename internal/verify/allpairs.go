@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"symnet/internal/core"
+	"symnet/internal/dist"
 	"symnet/internal/sched"
 	"symnet/internal/sefl"
 )
@@ -20,14 +21,50 @@ type AllPairsReport struct {
 	Reachable [][]bool
 	// PathCount[s][t] is the number of such paths.
 	PathCount [][]int
-	// Results holds the per-source run results, aligned with Sources, for
-	// follow-up queries (ConcretePacket, FieldEndToEnd, ...).
+	// Results holds the per-source live run results, aligned with Sources,
+	// for follow-up queries (ConcretePacket, FieldEndToEnd, ...). Only
+	// AllPairsReachability fills it; reports built from summaries leave it
+	// nil.
 	Results []*core.Result
+	// Summaries holds the per-source run summaries, aligned with Sources,
+	// when the report was built from them (AllPairsReachabilityDist, the
+	// churn service): statuses, port trails, traces, solver statistics and
+	// constraint fingerprints, but no live solver contexts or packets.
+	Summaries []*dist.Summary
 }
 
-// ReachedPaths returns the delivered paths from Sources[s] to Targets[t].
-func (r *AllPairsReport) ReachedPaths(s, t int) []*core.Path {
-	return r.Results[s].DeliveredAt(r.Targets[t], -1)
+// NewSummaryReport returns an empty report over sources and targets whose
+// rows SetSummary fills.
+func NewSummaryReport(sources []core.PortRef, targets []string) *AllPairsReport {
+	return &AllPairsReport{
+		Sources:   sources,
+		Targets:   targets,
+		Reachable: make([][]bool, len(sources)),
+		PathCount: make([][]int, len(sources)),
+		Summaries: make([]*dist.Summary, len(sources)),
+	}
+}
+
+// SetSummary installs source i's run summary and replaces its reachability
+// and path-count rows with fresh ones read off the summary's delivered
+// paths. Rows are replaced, never written in place, so SetSummary is safe
+// on a CloneShallow copy whose original readers still traverse.
+func (r *AllPairsReport) SetSummary(i int, sum *dist.Summary) { r.setSummary(i, sum, pairMetrics{}) }
+
+func (r *AllPairsReport) setSummary(i int, sum *dist.Summary, pm pairMetrics) {
+	row := make([]bool, len(r.Targets))
+	cnt := make([]int, len(r.Targets))
+	for t, target := range r.Targets {
+		pt := pm.pairNs.Start()
+		n := sum.DeliveredAt(target, -1)
+		pt.Stop()
+		row[t] = n > 0
+		cnt[t] = n
+		pm.count(n > 0)
+	}
+	r.Summaries[i] = sum
+	r.Reachable[i] = row
+	r.PathCount[i] = cnt
 }
 
 // Pairs returns the number of (source, target) pairs answered.

@@ -8,33 +8,16 @@ import (
 	"symnet/internal/sefl"
 )
 
-// AllPairsDistReport is the distributed face of AllPairsReport: the same
-// reachability matrix, computed from worker summaries instead of live
-// results. Live paths (solver contexts, packet memory) stay in the worker
-// processes, so follow-up field queries are not available — Summaries holds
-// what crossed the wire (statuses, histories, solver statistics, constraint
-// fingerprints).
-type AllPairsDistReport struct {
-	Sources []core.PortRef
-	Targets []string
-	// Reachable[s][t] reports whether any delivered path from Sources[s]
-	// ends at Targets[t]; PathCount[s][t] counts them.
-	Reachable [][]bool
-	PathCount [][]int
-	// Summaries holds the per-source run summaries, aligned with Sources.
-	Summaries []*dist.Summary
-}
-
-// Pairs returns the number of (source, target) pairs answered.
-func (r *AllPairsDistReport) Pairs() int { return len(r.Sources) * len(r.Targets) }
-
 // AllPairsReachabilityDist answers the all-pairs reachability matrix by
 // sharding the per-source runs across procs worker subprocesses (see
-// dist.RunBatch); procs <= 0 answers in-process. The matrix is byte-identical
-// to AllPairsReachability's for every (procs, workersPerProc) pair — per-path
-// last-hop positions are part of the deterministic summaries the property
-// tests in internal/dist pin down.
-func AllPairsReachabilityDist(net *core.Network, sources []core.PortRef, packet sefl.Instr, targets []string, opts core.Options, procs, workersPerProc int) (*AllPairsDistReport, error) {
+// dist.RunBatch); procs <= 0 answers in-process. The report carries
+// Summaries, not live Results: live paths (solver contexts, packet memory)
+// stay in the worker processes, so follow-up field queries are not
+// available. The matrix is byte-identical to AllPairsReachability's for
+// every (procs, workersPerProc) pair — per-path last-hop positions are part
+// of the deterministic summaries the property tests in internal/dist pin
+// down.
+func AllPairsReachabilityDist(net *core.Network, sources []core.PortRef, packet sefl.Instr, targets []string, opts core.Options, procs, workersPerProc int) (*AllPairsReport, error) {
 	return AllPairsReachabilityDistConfig(net, sources, packet, targets, opts, dist.Config{
 		Procs: procs, WorkersPerProc: workersPerProc, ShareSat: true,
 	})
@@ -44,7 +27,7 @@ func AllPairsReachabilityDist(net *core.Network, sources []core.PortRef, packet 
 // fleet configuration — TCP worker addresses, steal/retry policy, the full
 // dist.Config surface. cfg.Obs defaults to opts.Obs. The matrix stays
 // byte-identical to AllPairsReachability's for every fleet shape.
-func AllPairsReachabilityDistConfig(net *core.Network, sources []core.PortRef, packet sefl.Instr, targets []string, opts core.Options, cfg dist.Config) (*AllPairsDistReport, error) {
+func AllPairsReachabilityDistConfig(net *core.Network, sources []core.PortRef, packet sefl.Instr, targets []string, opts core.Options, cfg dist.Config) (*AllPairsReport, error) {
 	o := opts.Obs
 	if cfg.Obs == nil {
 		cfg.Obs = o
@@ -56,28 +39,12 @@ func AllPairsReachabilityDistConfig(net *core.Network, sources []core.PortRef, p
 		jobs[i] = dist.Job{Name: src.String(), Inject: src, Packet: packet, Opts: opts}
 	}
 	results := dist.RunBatchConfig(net, jobs, cfg)
-	rep := &AllPairsDistReport{
-		Sources:   sources,
-		Targets:   targets,
-		Reachable: make([][]bool, len(sources)),
-		PathCount: make([][]int, len(sources)),
-		Summaries: make([]*dist.Summary, len(sources)),
-	}
+	rep := NewSummaryReport(sources, targets)
 	for i, jr := range results {
 		if jr.Err != nil {
 			return nil, fmt.Errorf("verify: all-pairs source %s: %w", jr.Name, jr.Err)
 		}
-		rep.Summaries[i] = jr.Summary
-		rep.Reachable[i] = make([]bool, len(targets))
-		rep.PathCount[i] = make([]int, len(targets))
-		for t, target := range targets {
-			pt := pm.pairNs.Start()
-			n := jr.Summary.DeliveredAt(target, -1)
-			pt.Stop()
-			rep.Reachable[i][t] = n > 0
-			rep.PathCount[i][t] = n
-			pm.count(n > 0)
-		}
+		rep.setSummary(i, jr.Summary, pm)
 	}
 	return rep, nil
 }

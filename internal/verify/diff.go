@@ -1,6 +1,9 @@
 package verify
 
-import "symnet/internal/core"
+import (
+	"symnet/internal/core"
+	"symnet/internal/dist"
+)
 
 // Report diffing: the churn serving layer publishes a new immutable
 // AllPairsReport per absorbed delta batch, and watch clients consume the
@@ -26,9 +29,10 @@ func (d CellDelta) Flipped() bool { return d.FromReachable != d.ToReachable }
 
 // CloneShallow returns a copy-on-write snapshot of the report: fresh outer
 // slices whose rows alias the original's. A writer may replace whole rows
-// (Results[i], Reachable[i], PathCount[i]) on the clone without disturbing
-// readers of the original; rows themselves must be treated as immutable
-// after publication.
+// (Results[i], Summaries[i], Reachable[i], PathCount[i]) on the clone
+// without disturbing readers of the original; rows themselves must be
+// treated as immutable after publication. A nil Results or Summaries stays
+// nil.
 func (r *AllPairsReport) CloneShallow() *AllPairsReport {
 	return &AllPairsReport{
 		Sources:   r.Sources,
@@ -36,6 +40,7 @@ func (r *AllPairsReport) CloneShallow() *AllPairsReport {
 		Reachable: append([][]bool(nil), r.Reachable...),
 		PathCount: append([][]int(nil), r.PathCount...),
 		Results:   append([]*core.Result(nil), r.Results...),
+		Summaries: append([]*dist.Summary(nil), r.Summaries...),
 	}
 }
 

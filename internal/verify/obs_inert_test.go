@@ -46,7 +46,7 @@ func canonInProcess(t *testing.T, rep *verify.AllPairsReport) string {
 
 // canonDist renders a distributed all-pairs report to comparable bytes via
 // the summaries that crossed the wire.
-func canonDist(t *testing.T, rep *verify.AllPairsDistReport) string {
+func canonDist(t *testing.T, rep *verify.AllPairsReport) string {
 	t.Helper()
 	b, err := json.Marshal(map[string]any{
 		"reachable": rep.Reachable, "counts": rep.PathCount, "summaries": rep.Summaries,

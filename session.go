@@ -162,8 +162,10 @@ type ServeConfig struct {
 	// and each churn re-verification) across that many persistent local
 	// worker subprocesses instead of the in-process scheduler. The pool
 	// outlives batches: workers keep the compiled network installed, and rule
-	// churn reaches them as per-port program deltas. Published observables
-	// are byte-identical to in-process serving.
+	// churn reaches them as per-port program deltas. Either way the passes
+	// run through one dist.Pool (without workers it runs in process) and
+	// reports carry dist summaries; published observables are byte-identical
+	// to in-process serving.
 	DistProcs int
 	// DistWorkers lists resident TCP worker addresses (host:port of
 	// `symworker -listen` processes, possibly on other machines). When
@@ -204,27 +206,25 @@ func (s *Session) Serve(cfg ServeConfig) (*Serving, error) {
 		}
 	}
 	// The serving registry (Serving.Registry) carries the churn.* and
-	// solver.satcache.* instruments, and the pool's dist.* ones unless
+	// solver.satcache.* instruments, and a fleet's dist.* ones unless
 	// Options.Obs claims them. The engine keeps Options.Obs as given, so a
-	// nil Obs leaves compiled-program execution untimed.
+	// nil Obs leaves compiled-program execution untimed — which is also why
+	// a pool without workers (it runs jobs in process, where its Obs would
+	// time every job) gets Options.Obs unchanged.
 	reg := obs.NewRegistry()
 	poolObs := s.opts.Obs
-	if poolObs == nil {
+	if poolObs == nil && (cfg.DistProcs > 0 || len(cfg.DistWorkers) > 0) {
 		poolObs = obs.New(reg, nil)
 	}
-	var runner churn.BatchRunner
-	if cfg.DistProcs > 0 || len(cfg.DistWorkers) > 0 {
-		pool, err := dist.NewPool(dist.Config{
-			Procs:          cfg.DistProcs,
-			Workers:        cfg.DistWorkers,
-			WorkersPerProc: s.opts.Workers,
-			ShareSat:       true,
-			Obs:            poolObs,
-		})
-		if err != nil {
-			return nil, fmt.Errorf("symnet: serve: %w", err)
-		}
-		runner = pool
+	pool, err := dist.NewPool(dist.Config{
+		Procs:          cfg.DistProcs,
+		Workers:        cfg.DistWorkers,
+		WorkersPerProc: s.opts.Workers,
+		ShareSat:       true,
+		Obs:            poolObs,
+	})
+	if err != nil {
+		return nil, fmt.Errorf("symnet: serve: %w", err)
 	}
 	svc := churn.NewService(churn.Config{
 		Net:     s.net,
@@ -232,7 +232,7 @@ func (s *Session) Serve(cfg ServeConfig) (*Serving, error) {
 		Targets: cfg.Targets,
 		Packet:  cfg.Packet,
 		Opts:    s.opts,
-		Runner:  runner,
+		Runner:  pool,
 		Reg:     reg,
 	})
 	for name, fib := range cfg.Routers {

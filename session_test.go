@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"symnet/internal/core"
+	"symnet/internal/dist"
 	"symnet/internal/sched"
 	"symnet/internal/sefl"
 )
@@ -106,8 +107,20 @@ func compareAllPairs(t *testing.T, label string, got, want *AllPairsReport) {
 	if !reflect.DeepEqual(got.PathCount, want.PathCount) {
 		t.Fatalf("%s: path count mismatch:\n got %v\nwant %v", label, got.PathCount, want.PathCount)
 	}
-	for i := range want.Results {
-		compareResults(t, fmt.Sprintf("%s: source %d", label, i), got.Results[i], want.Results[i])
+	// Serving reports carry summaries; AllPairs carries live results.
+	if got.Results != nil || len(got.Summaries) != len(want.Sources) {
+		t.Fatalf("%s: serving report carries %d results and %d summaries", label, len(got.Results), len(got.Summaries))
+	}
+	for i := range want.Sources {
+		if want.Results == nil {
+			if !reflect.DeepEqual(got.Summaries[i], want.Summaries[i]) {
+				t.Fatalf("%s: source %d summary mismatch", label, i)
+			}
+			continue
+		}
+		if !reflect.DeepEqual(got.Summaries[i], dist.SummaryOf(want.Results[i])) {
+			t.Fatalf("%s: source %d summary differs from the live result's", label, i)
+		}
 	}
 }
 
